@@ -4,9 +4,8 @@ from .fields import QQ, FieldError, PrimeField, RationalField, field_from_descri
 from .poly import (
     LinearForm,
     Polynomial,
-    coefficient_extraction,
     elem_sym,
-    esym_top_at_forms,
+    esym,
     poly_eval,
     substitute_linear_forms,
 )

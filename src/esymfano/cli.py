@@ -74,15 +74,15 @@ def emit(report: dict, as_json: bool):
             print(line)
 
 
-def _flatten(value, prefix):
+def _flatten(value, path):
     if isinstance(value, dict):
         for k, v in value.items():
-            yield from _flatten(v, f"{prefix}{k}." if not _is_leaf(v) else f"{prefix}{k}")
+            yield from _flatten(v, f"{path}{k}." if not _is_leaf(v) else f"{path}{k}")
     elif isinstance(value, list) and not _is_leaf(value):
         for i, v in enumerate(value):
-            yield from _flatten(v, f"{prefix}[{i}]." if not _is_leaf(v) else f"{prefix}[{i}]")
+            yield from _flatten(v, f"{path}[{i}]." if not _is_leaf(v) else f"{path}[{i}]")
     else:
-        yield f"{prefix}: {_leaf_str(value)}"
+        yield f"{path}: {_leaf_str(value)}"
 
 
 def _is_leaf(v):
@@ -228,7 +228,7 @@ def cmd_brute(args):
     try:
         members = fano.brute_force_members(args.d, args.m, field, args.budget)
         total = fano.gaussian_binomial(args.m, args.d, field.characteristic)
-    except fano.BudgetExceeded as e:
+    except (fano.BudgetExceeded, ValueError) as e:
         raise InputError(str(e)) from None
     report = {
         "command": "brute",
@@ -247,7 +247,7 @@ def cmd_xcheck(args):
     field = _prime_field(args)
     try:
         result = fano.cross_check(args.d, args.m, field, args.budget)
-    except fano.BudgetExceeded as e:
+    except (fano.BudgetExceeded, ValueError) as e:
         raise InputError(str(e)) from None
     report = {
         "command": "xcheck",

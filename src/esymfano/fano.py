@@ -21,8 +21,8 @@ from .linalg import is_invertible, nullspace, rank
 from .poly import (
     LinearForm,
     Polynomial,
+    degree_monomials,
     esym_almost_top,
-    esym_top_at_forms,
     grlex_key,
 )
 
@@ -125,7 +125,7 @@ class MembershipVerdict:
 
 def membership_expansion(T: PlaneMatrix) -> Polynomial:
     """E_{m-1} evaluated at the column forms of T, a polynomial in d variables."""
-    return esym_top_at_forms(T.column_forms())
+    return esym_almost_top([g.to_polynomial() for g in T.column_forms()])
 
 
 def is_member_direct(T: PlaneMatrix) -> bool:
@@ -295,26 +295,10 @@ def fano_chart_equations(d: int, m: int, chart: Chart, field=QQ):
         bucket = by_s_monomial.setdefault(s_part, {})
         bucket[a_part] = coeff
     equations = []
-    for s_mono in _degree_monomials(d, m - 1):
+    for s_mono in degree_monomials(d, m - 1):
         terms = by_s_monomial.get(s_mono, {})
         equations.append((s_mono, Polynomial(field, na, terms)))
     return equations
-
-
-def _degree_monomials(nvars: int, degree: int):
-    """All exponent tuples of the given total degree, graded-lex order."""
-    monos = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            monos.append(tuple(prefix) + (remaining,))
-            return
-        for e in range(remaining + 1):
-            rec(prefix + [e], remaining - e, slots - 1)
-
-    rec([], degree, nvars)
-    monos.sort(key=grlex_key)
-    return monos
 
 
 def expected_dimension(d: int, m: int) -> int:
@@ -465,6 +449,8 @@ def gaussian_binomial(m: int, d: int, p: int) -> int:
 def enumerate_subspaces(d: int, m: int, field, budget: int = 10**6):
     """Every d-subspace of F_p^m exactly once as its RREF matrix, ordered
     lexicographically by pivot set then by the free entries."""
+    if not 1 <= d <= m:
+        raise ValueError(f"need 1 <= d <= m, got d={d}, m={m}")
     p = field.characteristic
     total = gaussian_binomial(m, d, p)
     if total > budget:

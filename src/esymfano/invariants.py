@@ -9,11 +9,20 @@ generator set spans the whole invariant ring degree by degree.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 from .fields import QQ, FieldError
 from .linalg import identity, is_invertible, mat_mul, rank
-from .poly import LinearForm, Polynomial, elem_sym, grlex_key, poly_eval
+from .poly import (
+    LinearForm,
+    Polynomial,
+    degree_monomials,
+    elem_sym,
+    esym,
+    grlex_key,
+    poly_eval,
+)
 
 
 class NotInvariantSet(ValueError):
@@ -153,14 +162,9 @@ def orbit_of_form(f: LinearForm, group: GroupAction):
 def orbit_chern(orbit, r: int) -> Polynomial:
     """E_r evaluated at the orbit forms; invariant under the group."""
     orbit = list(orbit)
-    k = len(orbit)
-    if not 1 <= r <= k:
-        raise ValueError(f"order {r} outside [1, {k}]")
-    field = orbit[0].field
-    matrix = [[g.coeffs[i] for g in orbit] for i in range(orbit[0].nvars)]
-    from .poly import substitute_linear_forms
-
-    return substitute_linear_forms(elem_sym(r, k, field), matrix)
+    if not 1 <= r <= len(orbit):
+        raise ValueError(f"order {r} outside [1, {len(orbit)}]")
+    return esym(r, [g.to_polynomial() for g in orbit])
 
 
 def is_invariant(f: Polynomial, group: GroupAction) -> bool:
@@ -229,22 +233,12 @@ def derive_permutation_rep(U, phi: GroupAction) -> PermutationAction:
 # -- graded dimensions ------------------------------------------------------
 
 
-def degree_monomials(nvars: int, degree: int):
-    from .fano import _degree_monomials
-
-    return _degree_monomials(nvars, degree)
-
-
-def _coeff_rows(polys, nvars, degree, field):
-    monos = degree_monomials(nvars, degree)
-    pos = {e: i for i, e in enumerate(monos)}
-    rows = []
-    for g in polys:
-        row = [field.zero] * len(monos)
-        for e, c in g.terms.items():
-            row[pos[e]] = c
-        rows.append(tuple(row))
-    return rows
+def _span_dim(polys, field) -> int:
+    """Dimension of the span of the polynomials: the rank of their
+    coefficient rows over the monomials that occur in any of them."""
+    monos = sorted({e for g in polys for e in g.terms}, key=grlex_key)
+    zero = field.zero
+    return rank([tuple(g.terms.get(e, zero) for e in monos) for g in polys], field)
 
 
 def invariant_dim(group: GroupAction, degree: int) -> int:
@@ -257,8 +251,7 @@ def invariant_dim(group: GroupAction, degree: int) -> int:
     for e in degree_monomials(n, degree):
         mono = Polynomial(field, n, {e: field.one})
         images.append(reynolds(mono, group))
-    rows = _coeff_rows(images, n, degree, field)
-    return rank(rows, field)
+    return _span_dim(images, field)
 
 
 def subalgebra_graded_dims(gens, D: int):
@@ -280,12 +273,7 @@ def subalgebra_graded_dims(gens, D: int):
         _accumulate_products(
             gens, degs, k, 0, Polynomial.one(field, nvars), products
         )
-        nonzero = [g for g in products if not g.is_zero()]
-        if not nonzero:
-            dims.append(0)
-            continue
-        rows = _coeff_rows(nonzero, nvars, k, field)
-        dims.append(rank(rows, field))
+        dims.append(_span_dim(products, field))
     return dims
 
 
@@ -352,10 +340,6 @@ def generation_check(group: GroupAction, seed_forms, D: int):
 def z2_counterexample_report(trials: int = 50, seed: int = 0):
     """The sign action on two variables: xy is invariant, lies in no single
     symmetric-pullback image, yet is generated by the quadratic pullbacks."""
-    import random
-
-    from .fields import QQ
-
     field = QQ
     neg = ((field.from_int(-1), field.zero), (field.zero, field.from_int(-1)))
     group = close_group([neg], field)
@@ -422,26 +406,7 @@ def z2_counterexample_report(trials: int = 50, seed: int = 0):
 
 
 def _in_span(basis, target, field):
-    if target.is_zero():
-        return True
-    polys = [g for g in basis if not g.is_zero()]
-    if not polys:
-        return False
-    nvars = target.nvars
-    monos = sorted(
-        {e for g in polys + [target] for e in g.terms}, key=grlex_key
-    )
-    pos = {e: i for i, e in enumerate(monos)}
-
-    def row(g):
-        out = [field.zero] * len(monos)
-        for e, c in g.terms.items():
-            out[pos[e]] = c
-        return tuple(out)
-
-    base_rows = [row(g) for g in polys]
-    r0 = rank(base_rows, field)
-    return rank(base_rows + [row(target)], field) == r0
+    return _span_dim(basis + [target], field) == _span_dim(basis, field)
 
 
 def pullback_symmetric(p: Polynomial, forms) -> Polynomial:

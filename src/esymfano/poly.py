@@ -14,6 +14,22 @@ def grlex_key(exps):
     return (sum(exps), exps)
 
 
+def degree_monomials(nvars: int, degree: int):
+    """All exponent tuples of the given total degree, graded-lex order."""
+    monos = []
+
+    def rec(head, remaining, slots):
+        if slots == 1:
+            monos.append(tuple(head) + (remaining,))
+            return
+        for e in range(remaining + 1):
+            rec(head + [e], remaining - e, slots - 1)
+
+    rec([], degree, nvars)
+    monos.sort(key=grlex_key)
+    return monos
+
+
 class Polynomial:
     __slots__ = ("field", "nvars", "terms")
 
@@ -229,21 +245,36 @@ class LinearForm:
 # -- core operations ------------------------------------------------------
 
 
-def elem_sym(r: int, m: int, field) -> Polynomial:
-    """The r-th elementary symmetric polynomial in m variables.
+def esym(r: int, polys) -> Polynomial:
+    """E_r(g_1, ..., g_m): the t^r coefficient of prod_j (1 + g_j t).
 
-    Built by expanding prod_j (1 + x_j t) one variable at a time, keeping
-    only t-degrees up to r.
+    Multiplied out one factor at a time.  After factor j, E_k is still zero
+    for k > j + 1, and E_k for k < r - (m - 1 - j) can no longer reach E_r,
+    so only the band of k between those bounds is updated.  For r = m - 1
+    the band is two slots wide.
     """
+    polys = list(polys)
+    m = len(polys)
+    if m == 0:
+        raise ValueError("empty factor list")
+    if not 0 <= r <= m:
+        raise ValueError(f"esym order {r} outside [0, {m}]")
+    field, nvars = polys[0].field, polys[0].nvars
+    # e[k] holds E_k of the factors processed so far
+    e = [Polynomial.one(field, nvars)] + [Polynomial.zero(field, nvars)] * r
+    for j, g in enumerate(polys):
+        for k in range(min(j + 1, r), max(0, r - m + j), -1):
+            e[k] = e[k] + e[k - 1] * g
+    return e[r]
+
+
+def elem_sym(r: int, m: int, field) -> Polynomial:
+    """The r-th elementary symmetric polynomial in m variables."""
     if not 0 <= r <= m:
         raise ValueError(f"elem_sym order {r} outside [0, {m}]")
-    # e[k] holds E_k of the variables processed so far
-    e = [Polynomial.one(field, m)] + [Polynomial.zero(field, m) for _ in range(r)]
-    for j in range(m):
-        xj = Polynomial.variable(field, m, j)
-        for k in range(min(j + 1, r), 0, -1):
-            e[k] = e[k] + e[k - 1] * xj
-    return e[r]
+    if m == 0:
+        return Polynomial.one(field, 0)
+    return esym(r, [Polynomial.variable(field, m, j) for j in range(m)])
 
 
 def poly_eval(f: Polynomial, args) -> Polynomial:
@@ -297,45 +328,16 @@ def substitute_linear_forms(f: Polynomial, matrix) -> Polynomial:
 
 
 def esym_almost_top(polys) -> Polynomial:
-    """sum_j prod_{k != j} g_k via prefix/suffix products (m-1 multiplications each way)."""
+    """E_{m-1}(g_1, ..., g_m) = sum_j prod_{k != j} g_k."""
     polys = list(polys)
-    m = len(polys)
-    if m == 0:
-        raise ValueError("empty factor list")
-    field = polys[0].field
-    nvars = polys[0].nvars
-    one = Polynomial.one(field, nvars)
-    prefix = [one]
-    for g in polys:
-        prefix.append(prefix[-1] * g)
-    suffix = [one]
-    for g in reversed(polys):
-        suffix.append(suffix[-1] * g)
-    suffix.reverse()
-    total = Polynomial.zero(field, nvars)
-    for j in range(m):
-        total = total + prefix[j] * suffix[j + 1]
-    return total
-
-
-def esym_top_at_forms(forms) -> Polynomial:
-    """E_{m-1} evaluated at m linear forms, computed in O(m) polynomial products."""
-    forms = list(forms)
-    if not forms:
-        raise ValueError("empty form list")
-    return esym_almost_top([g.to_polynomial() for g in forms])
-
-
-def coefficient_extraction(g: Polynomial):
-    """The full term map of g as a list of (exponent tuple, scalar) in canonical order."""
-    return g.sorted_terms()
+    return esym(len(polys) - 1, polys)
 
 
 # -- formatting (I/O boundary only) ---------------------------------------
 
 
-def default_names(nvars, prefix="x"):
-    return [f"{prefix}{i+1}" for i in range(nvars)]
+def default_names(nvars, stem="x"):
+    return [f"{stem}{i+1}" for i in range(nvars)]
 
 
 def format_polynomial(p: Polynomial, names=None) -> str:

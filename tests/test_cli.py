@@ -114,6 +114,16 @@ class TestOtherCommands:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("d,m", [(0, 3), (4, 3)])
+    @pytest.mark.parametrize("command", ["xcheck", "brute"])
+    def test_subspace_size_out_of_range_exit_2(self, capsys, command, d, m):
+        code, out, err = run(
+            capsys, [command, "--d", str(d), "--m", str(m), "--prime", "3"]
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_brute(self, capsys):
         code, out, _ = run(
             capsys, ["--json", "brute", "--d", "1", "--m", "2", "--prime", "3"]

@@ -209,6 +209,12 @@ class TestPullback:
         orb = [lf(1, 0), lf(-1, 0)]
         assert pullback_symmetric(elem_sym(2, 2, QQ), orb) == orbit_chern(orb, 2)
 
+    def test_matches_orbit_chern_every_order(self):
+        orb = orbit_of_form(lf(1, 2, 3), s3_group())
+        assert len(orb) == 6
+        for r in range(1, 7):
+            assert pullback_symmetric(elem_sym(r, 6, QQ), orb) == orbit_chern(orb, r)
+
     def test_e1(self):
         forms = [lf(1, 0, 0), lf(0, 1, 0), lf(0, 0, 1)]
         assert pullback_symmetric(elem_sym(1, 3, QQ), forms) == orbit_chern(forms, 1)

@@ -1,0 +1,39 @@
+"""Source layout rules checked by reading the package's own files."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "esymfano"
+
+
+def private_sibling_imports(path):
+    """Leading-underscore names that a module takes from its sibling modules,
+    by `from .mod import _name` or by `mod._name` after `from . import mod`."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    siblings = set()
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level > 0 or (node.module or "").startswith("esymfano")
+        ):
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    found.append(f"{path.name}:{node.lineno} imports {alias.name}")
+                elif node.module in (None, "esymfano"):
+                    siblings.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in siblings
+            and node.attr.startswith("_")
+        ):
+            found.append(f"{path.name}:{node.lineno} uses {node.value.id}.{node.attr}")
+    return found
+
+
+def test_no_private_cross_module_imports():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    found = [hit for path in modules for hit in private_sibling_imports(path)]
+    assert found == []

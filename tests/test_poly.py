@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 from math import comb
 
@@ -7,9 +8,9 @@ from esymfano.fields import QQ, FieldError, PrimeField
 from esymfano.poly import (
     LinearForm,
     Polynomial,
-    coefficient_extraction,
     elem_sym,
-    esym_top_at_forms,
+    esym,
+    esym_almost_top,
     substitute_linear_forms,
 )
 
@@ -18,6 +19,10 @@ from conftest import qm
 
 def var(field, n, i):
     return Polynomial.variable(field, n, i)
+
+
+def at_forms(forms):
+    return esym_almost_top([g.to_polynomial() for g in forms])
 
 
 def rand_poly(field, nvars, rng, maxdeg=3, nterms=4):
@@ -87,6 +92,7 @@ class TestElemSym:
         y = [var(QQ, 3, i) for i in range(3)]
         assert elem_sym(2, 3, QQ) == y[0] * y[1] + y[0] * y[2] + y[1] * y[2]
         assert elem_sym(0, 5, QQ) == Polynomial.one(QQ, 5)
+        assert elem_sym(0, 0, QQ) == Polynomial.one(QQ, 0)
 
     def test_term_counts(self):
         for m in range(1, 7):
@@ -96,6 +102,8 @@ class TestElemSym:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             elem_sym(4, 3, QQ)
+        with pytest.raises(ValueError):
+            elem_sym(-1, 3, QQ)
 
     def test_newton_consistency(self):
         # sum_r (-1)^r E_r t^r == prod_j (1 - x_j t), coefficientwise in t
@@ -153,19 +161,19 @@ class TestTopAtForms:
             LinearForm(QQ, tuple(Fraction(x) for x in c))
             for c in [(1, 0), (0, 1), (-1, 0), (0, -1)]
         ]
-        assert esym_top_at_forms(forms).is_zero()
+        assert at_forms(forms).is_zero()
 
     def test_two_equal_forms(self):
         s = LinearForm(QQ, (Fraction(1),))
-        assert esym_top_at_forms([s, s]) == Polynomial(QQ, 1, {(1,): Fraction(2)})
+        assert at_forms([s, s]) == Polynomial(QQ, 1, {(1,): Fraction(2)})
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            esym_top_at_forms([])
+            esym_almost_top([])
 
     @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
     def test_matches_naive_substitution(self, field, rng):
-        # the prefix/suffix route must agree with substituting into E_{m-1}
+        # the esym kernel must agree with substituting into E_{m-1}
         for _ in range(200):
             m, d = rng.randint(1, 8), rng.randint(1, 4)
             T = [
@@ -176,7 +184,7 @@ class TestTopAtForms:
                 LinearForm(field, tuple(T[i][j] for i in range(d)))
                 for j in range(m)
             ]
-            lhs = esym_top_at_forms(forms)
+            lhs = at_forms(forms)
             rhs = substitute_linear_forms(elem_sym(m - 1, m, field), T)
             assert lhs == rhs
 
@@ -184,14 +192,44 @@ class TestTopAtForms:
 class TestCoefficientExtraction:
     def test_read_off(self):
         p = Polynomial(QQ, 2, {(2, 1): Fraction(2), (1, 2): Fraction(2)})
-        assert coefficient_extraction(p) == [
+        assert p.sorted_terms() == [
             ((1, 2), Fraction(2)),
             ((2, 1), Fraction(2)),
         ]
 
     def test_zero(self):
-        assert coefficient_extraction(Polynomial.zero(QQ, 3)) == []
+        assert Polynomial.zero(QQ, 3).sorted_terms() == []
 
     def test_single_term(self):
         p = Polynomial(QQ, 1, {(2,): Fraction(3)})
-        assert coefficient_extraction(p) == [((2,), Fraction(3))]
+        assert p.sorted_terms() == [((2,), Fraction(3))]
+
+
+class TestEsym:
+    @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
+    def test_matches_sum_over_subsets(self, field, rng):
+        # E_r is the sum over r-subsets of the product of their members
+        for _ in range(30):
+            m, d = rng.randint(1, 7), rng.randint(1, 3)
+            polys = [
+                LinearForm(
+                    field, [field.from_int(rng.randint(-4, 4)) for _ in range(d)]
+                ).to_polynomial()
+                for _ in range(m)
+            ]
+            for r in range(m + 1):
+                brute = Polynomial.zero(field, d)
+                for subset in itertools.combinations(polys, r):
+                    prod = Polynomial.one(field, d)
+                    for g in subset:
+                        prod = prod * g
+                    brute = brute + prod
+                assert esym(r, polys) == brute
+
+    def test_out_of_range(self):
+        x = var(QQ, 1, 0)
+        for r in (-1, 3):
+            with pytest.raises(ValueError):
+                esym(r, [x, x])
+        with pytest.raises(ValueError):
+            esym(0, [])
