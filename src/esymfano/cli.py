@@ -3,7 +3,8 @@
 Subcommands: classify, equations, isolated, brute, xcheck, invariants,
 reciprocals.  Matrix documents come from a file argument or stdin; reports
 go to stdout (flat deterministic text, or JSON with --json), diagnostics to
-stderr.  Exit status: 0 success, 1 mathematical negative, 2 input error.
+stderr.  Exit status: 0 success, 1 mathematical negative, 2 input error,
+3 internal inconsistency (the structural and direct verdicts disagree).
 """
 
 from __future__ import annotations
@@ -14,11 +15,18 @@ import sys
 
 from . import fano, invariants
 from .fields import QQ, FieldError, field_from_descriptor
-from .poly import LinearForm, default_names, format_monomial, format_polynomial
+from .poly import (
+    LinearForm,
+    default_names,
+    format_monomial,
+    format_polynomial,
+    grlex_key,
+)
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
+EXIT_INTERNAL = 3
 
 
 class InputError(ValueError):
@@ -120,7 +128,8 @@ def cmd_classify(args):
     except ValueError as e:
         raise InputError(str(e)) from None
     verdict = fano.classify(T)
-    direct = fano.is_member_direct(T)
+    expansion = fano.membership_expansion(T)
+    direct = expansion.is_zero()
     report = {
         "command": "classify",
         "field": repr(field),
@@ -133,7 +142,7 @@ def cmd_classify(args):
     if verdict.member != direct:
         report["internal_error"] = "structural and direct verdicts disagree"
         emit(report, args.json)
-        return EXIT_NEGATIVE
+        return EXIT_INTERNAL
     cert = verdict.certificate
     if isinstance(cert, fano.ZeroPair):
         report["certificate"] = {
@@ -149,8 +158,8 @@ def cmd_classify(args):
             "spans_full_span_space": verdict.spans_full_span_space,
         }
     else:
-        names = default_names(T.d, "s")
-        report["witness_monomial"] = format_monomial(verdict.witness, names)
+        witness = min(expansion.terms, key=grlex_key)
+        report["witness_monomial"] = format_monomial(witness, default_names(T.d, "s"))
     emit(report, args.json)
     return EXIT_OK if verdict.member else EXIT_NEGATIVE
 
@@ -262,8 +271,12 @@ def cmd_xcheck(args):
             str(k): v for k, v in sorted(result["class_count_histogram"].items())
         },
     }
+    if result["mismatches"]:
+        report["mismatch_examples"] = [
+            fmt_matrix(rows, field) for rows in result["mismatch_examples"]
+        ]
     emit(report, args.json)
-    return EXIT_OK if result["mismatches"] == 0 else EXIT_NEGATIVE
+    return EXIT_OK if result["mismatches"] == 0 else EXIT_INTERNAL
 
 
 def _load_scenario(path):
@@ -274,6 +287,34 @@ def _load_scenario(path):
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
         raise InputError(f"bad scenario file {path}: {e}") from None
+
+
+def _square_size(matrix):
+    """n if matrix is a list of n >= 1 lists of length n, else None."""
+    if isinstance(matrix, list) and matrix:
+        if all(isinstance(row, list) and len(row) == len(matrix) for row in matrix):
+            return len(matrix)
+    return None
+
+
+def _check_scenario_shape(scenario):
+    """Generators are a non-empty list of n x n matrices sharing one n >= 1,
+    and every seed is a list of n coefficients."""
+    if not isinstance(scenario, dict):
+        raise InputError("bad scenario: not a JSON object")
+    gens = scenario.get("generators")
+    sizes = {_square_size(g) for g in gens} if isinstance(gens, list) else set()
+    if len(sizes) != 1 or None in sizes:
+        raise InputError(
+            "bad scenario: generators must be a non-empty list of n x n matrices "
+            "with one shared n >= 1"
+        )
+    (n,) = sizes
+    seeds = scenario.get("seeds")
+    if not isinstance(seeds, list) or any(
+        not isinstance(s, list) or len(s) != n for s in seeds
+    ):
+        raise InputError(f"bad scenario: seeds must be lists of {n} coefficients")
 
 
 def cmd_invariants(args):
@@ -289,8 +330,9 @@ def cmd_invariants(args):
             and result["algebra_membership"]
         )
         return EXIT_OK if ok else EXIT_NEGATIVE
+    _check_scenario_shape(scenario)
     try:
-        field = field_from_descriptor(scenario.get("field", "Q"))
+        field = field_from_descriptor(str(scenario.get("field", "Q")))
         gens = [
             [[field.parse(str(x)) for x in row] for row in g]
             for g in scenario["generators"]
@@ -300,8 +342,10 @@ def cmd_invariants(args):
             for coeffs in scenario["seeds"]
         ]
         degree = args.degree if args.degree is not None else int(scenario.get("degree", 4))
-    except (KeyError, ValueError, FieldError) as e:
+    except (ValueError, TypeError, OverflowError, FieldError) as e:
         raise InputError(f"bad scenario: {e}") from None
+    if degree < 0:
+        raise InputError(f"degree bound must be non-negative, got {degree}")
     try:
         group = invariants.close_group(gens, field)
         result = invariants.generation_check(group, seeds, degree)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
@@ -114,8 +114,7 @@ class PartitionCertificate:
 class MembershipVerdict:
     member: bool
     certificate: object = None  # ZeroPair | PartitionCertificate | None
-    witness: tuple = None  # s-monomial exponents with nonzero coefficient
-    spans_full_span_space: bool = dc_field(default=False)
+    spans_full_span_space: bool = False
     # spans_full_span_space: the partition has exactly d classes, so the row
     # span is all of the certified subspace rather than a proper subspace.
 
@@ -135,58 +134,53 @@ def is_member_direct(T: PlaneMatrix) -> bool:
 # -- structural classification --------------------------------------------
 
 
-def _normalize_column(col, field):
-    """(representative with first nonzero entry 1, scalar c) or None for zero."""
-    for x in col:
-        if x != field.zero:
-            inv = field.inv(x)
-            return tuple(field.mul(y, inv) for y in col), x
-    return None
+def _proportionality_classes(columns, field):
+    """(classes, representatives, scalars) for nonzero columns.
+
+    classes lists the column indices sharing one direction, ordered by first
+    index; representatives[i] is that direction with first nonzero entry 1;
+    scalars[j] is c_j with columns[j] = c_j * representative of j's class.
+    """
+    by_rep = {}
+    scalars = []
+    for j, col in enumerate(columns):
+        c = next((x for x in col if x != field.zero), None)
+        if c is None:
+            raise ValueError("zero form present")
+        inv = field.inv(c)
+        by_rep.setdefault(tuple(field.mul(y, inv) for y in col), []).append(j)
+        scalars.append(c)
+    return tuple(map(tuple, by_rep.values())), tuple(by_rep), tuple(scalars)
+
+
+def _reciprocal_sum(cls, scalars, field):
+    total = field.zero
+    for j in cls:
+        total = field.add(total, field.inv(scalars[j]))
+    return total
 
 
 def classify(T: PlaneMatrix) -> MembershipVerdict:
+    """Decide membership from the column pattern of T alone: two zero
+    columns, or no zero column and classes of at least two proportional
+    columns whose reciprocal sums vanish.  Expands nothing; comparing with
+    is_member_direct is the caller's independent check."""
     field = T.field
-    zero_cols = [j for j in range(T.m) if all(x == field.zero for x in T.column(j))]
+    columns = [T.column(j) for j in range(T.m)]
+    zero_cols = [j for j, col in enumerate(columns) if all(x == field.zero for x in col)]
     if len(zero_cols) >= 2:
         return MembershipVerdict(True, ZeroPair(zero_cols[0], zero_cols[1]))
-    if len(zero_cols) == 1:
+    if zero_cols:
         # the single surviving product of the m-1 nonzero forms cannot vanish
-        return MembershipVerdict(False, witness=_witness(T))
-    classes = {}
-    scalars = [None] * T.m
-    for j in range(T.m):
-        rep, c = _normalize_column(T.column(j), field)
-        classes.setdefault(rep, []).append(j)
-        scalars[j] = c
-    class_list = sorted((tuple(v) for v in classes.values()), key=lambda t: t[0])
-    ok = True
-    for cls in class_list:
-        if len(cls) < 2:
-            ok = False
-            break
-        total = field.zero
-        for j in cls:
-            total = field.add(total, field.inv(scalars[j]))
-        if total != field.zero:
-            ok = False
-            break
-    if not ok:
-        return MembershipVerdict(False, witness=_witness(T))
-    rep_by_first = {}
-    for rep, cols in classes.items():
-        rep_by_first[tuple(sorted(cols))[0]] = rep
-    reps = tuple(rep_by_first[cls[0]] for cls in class_list)
-    cert = PartitionCertificate(tuple(class_list), reps, tuple(scalars))
-    return MembershipVerdict(
-        True, cert, spans_full_span_space=(cert.num_classes == T.d)
-    )
-
-
-def _witness(T: PlaneMatrix):
-    g = membership_expansion(T)
-    if g.is_zero():
-        raise AssertionError("structural non-member but expansion vanishes")
-    return min(g.terms, key=grlex_key)
+        return MembershipVerdict(False)
+    classes, reps, scalars = _proportionality_classes(columns, field)
+    if not all(
+        len(cls) >= 2 and _reciprocal_sum(cls, scalars, field) == field.zero
+        for cls in classes
+    ):
+        return MembershipVerdict(False)
+    cert = PartitionCertificate(classes, reps, scalars)
+    return MembershipVerdict(True, cert, spans_full_span_space=(len(classes) == T.d))
 
 
 def verify_certificate(T: PlaneMatrix, cert) -> bool:
@@ -374,10 +368,7 @@ def sample_member(classes, scalars, d: int, field=QQ, seed: int = 0) -> PlaneMat
     if any(c == field.zero for c in scalars):
         raise ValueError("scalars must be nonzero")
     for cls in classes:
-        total = field.zero
-        for j in cls:
-            total = field.add(total, field.inv(scalars[j]))
-        if total != field.zero:
+        if _reciprocal_sum(cls, scalars, field) != field.zero:
             raise ValueError(f"reciprocal sum over class {cls} is nonzero")
     k = len(classes)
     if not 1 <= d <= k:
@@ -548,11 +539,5 @@ def reciprocal_relation_space(forms):
 
 
 def proportionality_class_count(forms) -> int:
-    field = forms[0].field
-    reps = set()
-    for g in forms:
-        norm = _normalize_column(g.coeffs, field)
-        if norm is None:
-            raise ValueError("zero form present")
-        reps.add(norm[0])
-    return len(reps)
+    classes, _, _ = _proportionality_classes([g.coeffs for g in forms], forms[0].field)
+    return len(classes)

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from esymfano import fano
 from esymfano.cli import main, parse_matrix_document, InputError
+from esymfano.poly import default_names, format_monomial, grlex_key
 
 MATCHING_DOC = "Q\n1 0 -1 0\n0 1 0 -1\n"
 REPEAT_DOC = "Q\n1 0 1 0\n0 1 0 1\n"
@@ -16,6 +18,19 @@ def run(capsys, argv, stdin=None, monkeypatch=None):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def flip_classify(monkeypatch):
+    """Invert every structural verdict so that it disagrees with the expansion
+    (a flipped non-member gets a bogus zero-pair certificate)."""
+    original = fano.classify
+
+    def flipped(T):
+        if original(T).member:
+            return fano.MembershipVerdict(False)
+        return fano.MembershipVerdict(True, fano.ZeroPair(0, 1))
+
+    monkeypatch.setattr(fano, "classify", flipped)
 
 
 class TestMatrixDocuments:
@@ -57,6 +72,28 @@ class TestClassifyCommand:
         assert not rep["member"]
         assert "witness_monomial" in rep
 
+    def test_nonmember_witness(self, capsys, tmp_path):
+        # the witness is the grlex-least term of the expansion the CLI compares
+        doc = tmp_path / "m.txt"
+        doc.write_text(REPEAT_DOC)
+        _, out, _ = run(capsys, ["--json", "classify", str(doc)])
+        expansion = fano.membership_expansion(
+            fano.PlaneMatrix(*parse_matrix_document(REPEAT_DOC))
+        )
+        least = min(expansion.terms, key=grlex_key)
+        assert expansion.coefficient(least) != 0
+        assert json.loads(out)["witness_monomial"] == format_monomial(
+            least, default_names(2, "s")
+        )
+
+    def test_disagreement_exit_3(self, capsys, tmp_path, monkeypatch):
+        flip_classify(monkeypatch)
+        doc = tmp_path / "m.txt"
+        doc.write_text(MATCHING_DOC)
+        code, out, _ = run(capsys, ["classify", str(doc)])
+        assert code == 3
+        assert "internal_error: structural and direct verdicts disagree\n" in out
+
     def test_stdin(self, capsys, monkeypatch):
         code, out, _ = run(
             capsys, ["--json", "classify"], stdin=MATCHING_DOC, monkeypatch=monkeypatch
@@ -75,6 +112,112 @@ class TestClassifyCommand:
         doc.write_text("Q\n1 1\n2 2\n")
         code, _, _ = run(capsys, ["classify", str(doc)])
         assert code == 2
+
+
+ZERO_PAIR_DOC = "Q\n1 0 0 0\n0 1 0 0\n"
+ONE_ZERO_DOC = "Q\n1 0 -1 0\n0 1 0 0\n"
+
+# (document, exit status, text stdout, --json stdout) for one plane of each
+# kind: partition certificate, repeat non-member, zero pair, one zero column.
+GOLDEN_CLASSIFY = {
+    "partition": (
+        MATCHING_DOC,
+        0,
+        """\
+command: classify
+field: Q
+d: 2
+m: 4
+matrix.[0]: [1, 0, -1, 0]
+matrix.[1]: [0, 1, 0, -1]
+member: true
+direct_member: true
+certificate.kind: partition
+certificate.classes.[0]: [1, 3]
+certificate.classes.[1]: [2, 4]
+certificate.num_classes: 2
+certificate.scalars: [1, 1, -1, -1]
+certificate.spans_full_span_space: true
+""",
+        '{"command": "classify", "field": "Q", "d": 2, "m": 4, "matrix": '
+        '[["1", "0", "-1", "0"], ["0", "1", "0", "-1"]], "member": true, '
+        '"direct_member": true, "certificate": {"kind": "partition", '
+        '"classes": [[1, 3], [2, 4]], "num_classes": 2, '
+        '"scalars": ["1", "1", "-1", "-1"], "spans_full_span_space": true}}\n',
+    ),
+    "repeat": (
+        REPEAT_DOC,
+        1,
+        """\
+command: classify
+field: Q
+d: 2
+m: 4
+matrix.[0]: [1, 0, 1, 0]
+matrix.[1]: [0, 1, 0, 1]
+member: false
+direct_member: false
+witness_monomial: s1*s2^2
+""",
+        '{"command": "classify", "field": "Q", "d": 2, "m": 4, "matrix": '
+        '[["1", "0", "1", "0"], ["0", "1", "0", "1"]], "member": false, '
+        '"direct_member": false, "witness_monomial": "s1*s2^2"}\n',
+    ),
+    "zero_pair": (
+        ZERO_PAIR_DOC,
+        0,
+        """\
+command: classify
+field: Q
+d: 2
+m: 4
+matrix.[0]: [1, 0, 0, 0]
+matrix.[1]: [0, 1, 0, 0]
+member: true
+direct_member: true
+certificate.kind: zero_pair
+certificate.columns: [3, 4]
+""",
+        '{"command": "classify", "field": "Q", "d": 2, "m": 4, "matrix": '
+        '[["1", "0", "0", "0"], ["0", "1", "0", "0"]], "member": true, '
+        '"direct_member": true, "certificate": {"kind": "zero_pair", '
+        '"columns": [3, 4]}}\n',
+    ),
+    "one_zero_column": (
+        ONE_ZERO_DOC,
+        1,
+        """\
+command: classify
+field: Q
+d: 2
+m: 4
+matrix.[0]: [1, 0, -1, 0]
+matrix.[1]: [0, 1, 0, 0]
+member: false
+direct_member: false
+witness_monomial: s1^2*s2
+""",
+        '{"command": "classify", "field": "Q", "d": 2, "m": 4, "matrix": '
+        '[["1", "0", "-1", "0"], ["0", "1", "0", "0"]], "member": false, '
+        '"direct_member": false, "witness_monomial": "s1^2*s2"}\n',
+    ),
+}
+
+
+class TestClassifyGolden:
+    @pytest.mark.parametrize("kind", sorted(GOLDEN_CLASSIFY))
+    def test_text(self, capsys, tmp_path, kind):
+        text, code, expected, _ = GOLDEN_CLASSIFY[kind]
+        doc = tmp_path / "m.txt"
+        doc.write_text(text)
+        assert run(capsys, ["classify", str(doc)]) == (code, expected, "")
+
+    @pytest.mark.parametrize("kind", sorted(GOLDEN_CLASSIFY))
+    def test_json(self, capsys, tmp_path, kind):
+        text, code, _, expected = GOLDEN_CLASSIFY[kind]
+        doc = tmp_path / "m.txt"
+        doc.write_text(text)
+        assert run(capsys, ["--json", "classify", str(doc)]) == (code, expected, "")
 
 
 class TestOtherCommands:
@@ -107,6 +250,18 @@ class TestOtherCommands:
         rep = json.loads(out)
         assert rep["total"] == 130
         assert rep["mismatches"] == 0
+
+    def test_xcheck_mismatch_exit_3(self, capsys, monkeypatch):
+        argv = ["xcheck", "--d", "2", "--m", "4", "--prime", "3"]
+        _, clean, _ = run(capsys, argv)
+        assert "mismatch_examples" not in clean
+        flip_classify(monkeypatch)
+        code, out, _ = run(capsys, ["--json"] + argv)
+        assert code == 3
+        rep = json.loads(out)
+        assert rep["mismatches"] == 130
+        assert rep["mismatch_examples"][0] == [["1", "0", "0", "0"], ["0", "1", "0", "0"]]
+        assert len(rep["mismatch_examples"]) == 5
 
     def test_xcheck_budget_exit_2(self, capsys):
         code, _, _ = run(
@@ -182,6 +337,30 @@ class TestOtherCommands:
         )
         code, _, _ = run(capsys, ["invariants", str(scenario)])
         assert code == 2
+
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            {"generators": 5, "seeds": [[1, 0]]},
+            {"generators": [[[0, 1], [1, 0]]], "seeds": 3},
+            {"generators": [[]], "seeds": [[1]]},
+            [{"generators": [[[0, 1], [1, 0]]], "seeds": [[1, 0]]}],
+            {"generators": [[[0, 1], [1, 0]]], "seeds": [[1, 0, 0]]},
+            {"generators": [[[0, 1], [1]]], "seeds": [[1, 0]]},
+            {"generators": [[[0, 1], [1, 0]]], "seeds": [[1, 0]], "degree": -1},
+            {"generators": [[[0, 1], [1, 0]]], "seeds": [[1, 0]], "degree": 1e400},
+        ],
+        ids=["int-generators", "int-seeds", "empty-generator", "top-level-list",
+             "seed-length", "ragged-generator", "negative-degree", "infinite-degree"],
+    )
+    def test_invariants_bad_shape_exit_2(self, capsys, tmp_path, scenario):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(scenario))
+        code, out, err = run(capsys, ["invariants", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestReportDeterminism:

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from esymfano import fano
 from esymfano.fano import (
     BudgetExceeded,
     Chart,
@@ -20,7 +21,7 @@ from esymfano.fano import (
     gaussian_binomial,
     is_member_direct,
     matchings,
-    membership_expansion,
+    proportionality_class_count,
     random_partition_certificate,
     reciprocal_relation_space,
     sample_member,
@@ -101,12 +102,6 @@ class TestClassify:
         assert v.certificate.num_classes == 3
         assert not v.spans_full_span_space
 
-    def test_nonmember_witness(self):
-        T = plane(REPEAT_PLANE)
-        v = classify(T)
-        assert not v.member
-        assert membership_expansion(T).coefficient(v.witness) != 0
-
     def test_zero_pair(self):
         v = classify(plane([[1, 0, 0, 0], [0, 1, 0, 0]]))
         assert v.member
@@ -119,6 +114,17 @@ class TestClassify:
         T = plane([[1, 0, -1, 0], [0, 1, 0, 0]])
         v = classify(T)
         assert not v.member and not is_member_direct(T)
+
+    def test_classify_never_expands(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("classify expanded E_{m-1}")
+
+        monkeypatch.setattr(fano, "membership_expansion", refuse)
+        monkeypatch.setattr(fano, "esym_almost_top", refuse)
+        assert not classify(plane(REPEAT_PLANE)).member
+        assert not classify(plane([[1, 0, -1, 0], [0, 1, 0, 0]])).member
+        verdicts = [classify(T) for T in enumerate_subspaces(2, 4, PrimeField(3))]
+        assert len(verdicts) == gaussian_binomial(4, 2, 3)
 
 
 class TestVerifyCertificate:
@@ -378,10 +384,10 @@ class TestReciprocalRelations:
     def test_zero_form_rejected(self):
         with pytest.raises(ValueError):
             reciprocal_relation_space([self.lf(0, 0)])
+        with pytest.raises(ValueError):
+            proportionality_class_count([self.lf(1, 0), self.lf(0, 0)])
 
     def test_dimension_law_random(self, rng):
-        from esymfano.fano import proportionality_class_count
-
         for _ in range(200):
             d = rng.randint(1, 3)
             n = rng.randint(1, 5)
