@@ -1,10 +1,13 @@
 """Command-line front end.
 
 Subcommands: classify, equations, isolated, brute, xcheck, invariants,
-reciprocals.  Matrix documents come from a file argument or stdin; reports
-go to stdout (flat deterministic text, or JSON with --json), diagnostics to
-stderr.  Exit status: 0 success, 1 mathematical negative, 2 input error,
-3 internal inconsistency (the structural and direct verdicts disagree).
+reciprocals.  Matrix documents come from a file argument or stdin.  Each
+subcommand returns (report, exit status) or raises; main() alone renders the
+report to stdout (flat deterministic text, or JSON with --json) and turns
+malformed or unreadable input (any ValueError, or an exceeded budget) into
+one "error:" line on stderr.  Any other exception is a bug and propagates.
+Exit status: 0 success, 1 mathematical negative, 2 input error, 3 internal
+inconsistency (the structural and direct verdicts disagree).
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import json
 import sys
 
 from . import fano, invariants
-from .fields import QQ, FieldError, field_from_descriptor
+from .fields import QQ, FieldError, PrimeField, field_from_descriptor
 from .poly import (
     LinearForm,
     default_names,
@@ -114,8 +117,11 @@ def _leaf_str(v):
 def _read_document(path):
     if path in (None, "-"):
         return sys.stdin.read()
-    with open(path) as fh:
-        return fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as e:
+        raise InputError(str(e)) from None
 
 
 # -- subcommands ------------------------------------------------------------
@@ -123,10 +129,7 @@ def _read_document(path):
 
 def cmd_classify(args):
     field, rows = parse_matrix_document(_read_document(args.matrix))
-    try:
-        T = fano.PlaneMatrix(field, rows)
-    except ValueError as e:
-        raise InputError(str(e)) from None
+    T = fano.PlaneMatrix(field, rows)
     verdict = fano.classify(T)
     expansion = fano.membership_expansion(T)
     direct = expansion.is_zero()
@@ -141,8 +144,7 @@ def cmd_classify(args):
     }
     if verdict.member != direct:
         report["internal_error"] = "structural and direct verdicts disagree"
-        emit(report, args.json)
-        return EXIT_INTERNAL
+        return report, EXIT_INTERNAL
     cert = verdict.certificate
     if isinstance(cert, fano.ZeroPair):
         report["certificate"] = {
@@ -160,8 +162,7 @@ def cmd_classify(args):
     else:
         witness = min(expansion.terms, key=grlex_key)
         report["witness_monomial"] = format_monomial(witness, default_names(T.d, "s"))
-    emit(report, args.json)
-    return EXIT_OK if verdict.member else EXIT_NEGATIVE
+    return report, EXIT_OK if verdict.member else EXIT_NEGATIVE
 
 
 def cmd_equations(args):
@@ -200,13 +201,10 @@ def cmd_equations(args):
             for s_mono, eq in equations
         ],
     }
-    emit(report, args.json)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
 def cmd_isolated(args):
-    if args.d < 1:
-        raise InputError("d must be positive")
     points = fano.enumerate_isolated(args.d)
     report = {
         "command": "isolated",
@@ -221,24 +219,13 @@ def cmd_isolated(args):
             for match, T in points
         ],
     }
-    emit(report, args.json)
-    return EXIT_OK
-
-
-def _prime_field(args):
-    try:
-        return field_from_descriptor(f"F{args.prime}")
-    except FieldError as e:
-        raise InputError(str(e)) from None
+    return report, EXIT_OK
 
 
 def cmd_brute(args):
-    field = _prime_field(args)
-    try:
-        members = fano.brute_force_members(args.d, args.m, field, args.budget)
-        total = fano.gaussian_binomial(args.m, args.d, field.characteristic)
-    except (fano.BudgetExceeded, ValueError) as e:
-        raise InputError(str(e)) from None
+    field = PrimeField(args.prime)
+    members = fano.brute_force_members(args.d, args.m, field, args.budget)
+    total = fano.gaussian_binomial(args.m, args.d, field.characteristic)
     report = {
         "command": "brute",
         "d": args.d,
@@ -248,16 +235,12 @@ def cmd_brute(args):
         "members": len(members),
         "member_matrices": [fmt_matrix(T.rows, field) for T in members],
     }
-    emit(report, args.json)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
 def cmd_xcheck(args):
-    field = _prime_field(args)
-    try:
-        result = fano.cross_check(args.d, args.m, field, args.budget)
-    except (fano.BudgetExceeded, ValueError) as e:
-        raise InputError(str(e)) from None
+    field = PrimeField(args.prime)
+    result = fano.cross_check(args.d, args.m, field, args.budget)
     report = {
         "command": "xcheck",
         "d": result["d"],
@@ -275,17 +258,16 @@ def cmd_xcheck(args):
         report["mismatch_examples"] = [
             fmt_matrix(rows, field) for rows in result["mismatch_examples"]
         ]
-    emit(report, args.json)
-    return EXIT_OK if result["mismatches"] == 0 else EXIT_INTERNAL
+    return report, EXIT_OK if result["mismatches"] == 0 else EXIT_INTERNAL
 
 
 def _load_scenario(path):
     if path == "z2-example":
         return None
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:
         raise InputError(f"bad scenario file {path}: {e}") from None
 
 
@@ -299,7 +281,8 @@ def _square_size(matrix):
 
 def _check_scenario_shape(scenario):
     """Generators are a non-empty list of n x n matrices sharing one n >= 1,
-    and every seed is a list of n coefficients."""
+    every seed is a list of n coefficients, and the degree, if given, is an
+    integer."""
     if not isinstance(scenario, dict):
         raise InputError("bad scenario: not a JSON object")
     gens = scenario.get("generators")
@@ -315,6 +298,9 @@ def _check_scenario_shape(scenario):
         not isinstance(s, list) or len(s) != n for s in seeds
     ):
         raise InputError(f"bad scenario: seeds must be lists of {n} coefficients")
+    # type(), not isinstance(): a JSON true or false is a bool, an int subclass
+    if "degree" in scenario and type(scenario["degree"]) is not int:
+        raise InputError("bad scenario: degree must be an integer")
 
 
 def cmd_invariants(args):
@@ -322,14 +308,13 @@ def cmd_invariants(args):
     if scenario is None:
         result = invariants.z2_counterexample_report()
         report = {"command": "invariants", "scenario": "z2-example", **result}
-        emit(report, args.json)
         ok = (
             result["xy_invariant"]
             and result["single_image_membership_hits"] == 0
             and result["polarization_identity"]
             and result["algebra_membership"]
         )
-        return EXIT_OK if ok else EXIT_NEGATIVE
+        return report, EXIT_OK if ok else EXIT_NEGATIVE
     _check_scenario_shape(scenario)
     try:
         field = field_from_descriptor(str(scenario.get("field", "Q")))
@@ -341,29 +326,22 @@ def cmd_invariants(args):
             LinearForm(field, [field.parse(str(x)) for x in coeffs])
             for coeffs in scenario["seeds"]
         ]
-        degree = args.degree if args.degree is not None else int(scenario.get("degree", 4))
-    except (ValueError, TypeError, OverflowError, FieldError) as e:
+    except ValueError as e:
         raise InputError(f"bad scenario: {e}") from None
+    degree = args.degree if args.degree is not None else scenario.get("degree", 4)
     if degree < 0:
         raise InputError(f"degree bound must be non-negative, got {degree}")
-    try:
-        group = invariants.close_group(gens, field)
-        result = invariants.generation_check(group, seeds, degree)
-    except (FieldError, invariants.ClosureBudgetExceeded, ValueError) as e:
-        raise InputError(str(e)) from None
+    group = invariants.close_group(gens, field)
+    result = invariants.generation_check(group, seeds, degree)
     report = {"command": "invariants", "scenario": args.scenario, **result}
-    emit(report, args.json)
-    return EXIT_OK if result["generated"] else EXIT_NEGATIVE
+    return report, EXIT_OK if result["generated"] else EXIT_NEGATIVE
 
 
 def cmd_reciprocals(args):
     field, rows = parse_matrix_document(_read_document(args.matrix))
     forms = [LinearForm(field, row) for row in rows]
-    try:
-        basis = fano.reciprocal_relation_space(forms)
-        n_classes = fano.proportionality_class_count(forms)
-    except ValueError as e:
-        raise InputError(str(e)) from None
+    basis = fano.reciprocal_relation_space(forms)
+    n_classes = fano.proportionality_class_count(forms)
     report = {
         "command": "reciprocals",
         "field": repr(field),
@@ -372,8 +350,7 @@ def cmd_reciprocals(args):
         "relation_space_dim": len(basis),
         "basis": [[field.fmt(x) for x in vec] for vec in basis],
     }
-    emit(report, args.json)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
 # -- entry point ------------------------------------------------------------
@@ -432,10 +409,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except InputError as e:
+        report, status = args.func(args)
+    except (ValueError, fano.BudgetExceeded, invariants.ClosureBudgetExceeded) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
+    emit(report, args.json)
+    return status
 
 
 if __name__ == "__main__":

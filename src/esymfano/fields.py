@@ -31,6 +31,8 @@ class RationalField:
     """The rationals; elements are Fraction (always in lowest terms)."""
 
     characteristic = 0
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -40,14 +42,6 @@ class RationalField:
 
     def __repr__(self):
         return "Q"
-
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
 
     def from_int(self, n):
         return Fraction(n)
@@ -69,9 +63,6 @@ class RationalField:
             raise ZeroDivisionError("inverse of zero")
         return 1 / a
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def parse(self, s: str):
         try:
             return Fraction(s.strip())
@@ -84,6 +75,9 @@ class RationalField:
 
 class PrimeField:
     """F_p for a prime p < 2**31; elements are ints reduced to [0, p)."""
+
+    zero = 0
+    one = 1
 
     def __init__(self, p: int):
         if not (2 <= p < 2**31):
@@ -105,14 +99,6 @@ class PrimeField:
     def __repr__(self):
         return f"F{self.p}"
 
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1 % self.p
-
     def from_int(self, n):
         return n % self.p
 
@@ -133,9 +119,6 @@ class PrimeField:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.p - 2, self.p)
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
 
     def parse(self, s: str):
         try:

@@ -220,6 +220,156 @@ class TestClassifyGolden:
         assert run(capsys, ["--json", "classify", str(doc)]) == (code, expected, "")
 
 
+SWAP_SCENARIO = {
+    "field": "Q",
+    "generators": [[[0, 1], [1, 0]]],
+    "seeds": [[1, 0]],
+    "degree": 4,
+}
+
+# (argv, (name, text) of a file in the working directory or None, exit status,
+# text stdout, --json stdout) for each subcommand other than classify.
+GOLDEN_OTHER = {
+    "isolated": (
+        ["isolated", "--d", "2"],
+        None,
+        0,
+        """\
+command: isolated
+d: 2
+m: 4
+count: 3
+points.[0].matching.[0]: [1, 2]
+points.[0].matching.[1]: [3, 4]
+points.[0].matrix.[0]: [1, -1, 0, 0]
+points.[0].matrix.[1]: [0, 0, 1, -1]
+points.[1].matching.[0]: [1, 3]
+points.[1].matching.[1]: [2, 4]
+points.[1].matrix.[0]: [1, 0, -1, 0]
+points.[1].matrix.[1]: [0, 1, 0, -1]
+points.[2].matching.[0]: [1, 4]
+points.[2].matching.[1]: [2, 3]
+points.[2].matrix.[0]: [1, 0, 0, -1]
+points.[2].matrix.[1]: [0, 1, -1, 0]
+""",
+        '{"command": "isolated", "d": 2, "m": 4, "count": 3, "points": '
+        '[{"matching": [[1, 2], [3, 4]], "matrix": [["1", "-1", "0", "0"], '
+        '["0", "0", "1", "-1"]]}, {"matching": [[1, 3], [2, 4]], "matrix": '
+        '[["1", "0", "-1", "0"], ["0", "1", "0", "-1"]]}, {"matching": '
+        '[[1, 4], [2, 3]], "matrix": [["1", "0", "0", "-1"], '
+        '["0", "1", "-1", "0"]]}]}\n',
+    ),
+    "xcheck": (
+        ["xcheck", "--d", "2", "--m", "4", "--prime", "3"],
+        None,
+        0,
+        """\
+command: xcheck
+d: 2
+m: 4
+p: 3
+total: 130
+members: 9
+mismatches: 0
+certificate_histogram.zero_pair: 6
+certificate_histogram.partition: 3
+class_count_histogram.2: 3
+""",
+        '{"command": "xcheck", "d": 2, "m": 4, "p": 3, "total": 130, '
+        '"members": 9, "mismatches": 0, "certificate_histogram": '
+        '{"zero_pair": 6, "partition": 3}, "class_count_histogram": {"2": 3}}\n',
+    ),
+    "brute": (
+        ["brute", "--d", "1", "--m", "2", "--prime", "3"],
+        None,
+        0,
+        """\
+command: brute
+d: 1
+m: 2
+p: 3
+total: 4
+members: 1
+member_matrices.[0].[0]: [1, 2]
+""",
+        '{"command": "brute", "d": 1, "m": 2, "p": 3, "total": 4, '
+        '"members": 1, "member_matrices": [[["1", "2"]]]}\n',
+    ),
+    "equations": (
+        ["equations", "--d", "1", "--m", "3", "--avoid", "2,3"],
+        None,
+        0,
+        """\
+command: equations
+d: 1
+m: 3
+avoided_columns: [2, 3]
+identity_columns: [1]
+unknowns: [a1_1, a1_2]
+equation_count: 1
+equations.[0].monomial: s1^2
+equations.[0].coefficient: a1_2 + a1_1 + a1_1*a1_2
+""",
+        '{"command": "equations", "d": 1, "m": 3, "avoided_columns": [2, 3], '
+        '"identity_columns": [1], "unknowns": ["a1_1", "a1_2"], '
+        '"equation_count": 1, "equations": [{"monomial": "s1^2", '
+        '"coefficient": "a1_2 + a1_1 + a1_1*a1_2"}]}\n',
+    ),
+    "reciprocals": (
+        ["reciprocals", "forms.txt"],
+        ("forms.txt", "Q\n1 0\n0 1\n1 1\n"),
+        0,
+        """\
+command: reciprocals
+field: Q
+num_forms: 3
+num_classes: 3
+relation_space_dim: 0
+basis: []
+""",
+        '{"command": "reciprocals", "field": "Q", "num_forms": 3, '
+        '"num_classes": 3, "relation_space_dim": 0, "basis": []}\n',
+    ),
+    "invariants": (
+        ["invariants", "swap.json"],
+        ("swap.json", json.dumps(SWAP_SCENARIO)),
+        0,
+        "command: invariants\nscenario: swap.json\ngroup_order: 2\n"
+        "generator_count: 2\nmax_degree: 4\n"
+        + "".join(
+            f"per_degree.[{k}].degree: {k}\n"
+            f"per_degree.[{k}].invariant_dim: {dim}\n"
+            f"per_degree.[{k}].subalgebra_dim: {dim}\n"
+            f"per_degree.[{k}].equal: true\n"
+            for k, dim in enumerate([1, 1, 2, 2, 3])
+        )
+        + "generated: true\n",
+        '{"command": "invariants", "scenario": "swap.json", "group_order": 2, '
+        '"generator_count": 2, "max_degree": 4, "per_degree": ['
+        + ", ".join(
+            f'{{"degree": {k}, "invariant_dim": {dim}, '
+            f'"subalgebra_dim": {dim}, "equal": true}}'
+            for k, dim in enumerate([1, 1, 2, 2, 3])
+        )
+        + '], "generated": true}\n',
+    ),
+}
+
+
+class TestOtherCommandsGolden:
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    @pytest.mark.parametrize("command", sorted(GOLDEN_OTHER))
+    def test_stdout(self, capsys, tmp_path, monkeypatch, command, as_json):
+        argv, document, code, text, json_text = GOLDEN_OTHER[command]
+        monkeypatch.chdir(tmp_path)
+        if document is not None:
+            name, content = document
+            (tmp_path / name).write_text(content)
+        flag = ["--json"] if as_json else []
+        expected = json_text if as_json else text
+        assert run(capsys, flag + argv) == (code, expected, "")
+
+
 class TestOtherCommands:
     @pytest.mark.parametrize("d,count", [(1, 1), (2, 3), (3, 15)])
     def test_isolated_counts(self, capsys, d, count):
@@ -350,14 +500,41 @@ class TestOtherCommands:
             {"generators": [[[0, 1], [1]]], "seeds": [[1, 0]]},
             {"generators": [[[0, 1], [1, 0]]], "seeds": [[1, 0]], "degree": -1},
             {"generators": [[[0, 1], [1, 0]]], "seeds": [[1, 0]], "degree": 1e400},
+            {"generators": [[[0, 1], [1, 0]]], "seeds": [[1, 0]], "degree": 2.7},
+            {"generators": [[[0, 1], [1, 0]]], "seeds": [[1, 0]], "degree": True},
+            {"generators": [[[0, 1], [1, 0]]], "seeds": [[1, 0]], "degree": "3"},
         ],
         ids=["int-generators", "int-seeds", "empty-generator", "top-level-list",
-             "seed-length", "ragged-generator", "negative-degree", "infinite-degree"],
+             "seed-length", "ragged-generator", "negative-degree", "infinite-degree",
+             "fractional-degree", "bool-degree", "string-degree"],
     )
     def test_invariants_bad_shape_exit_2(self, capsys, tmp_path, scenario):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(scenario))
         code, out, err = run(capsys, ["invariants", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command,document",
+        [
+            ("classify", "missing"),
+            ("reciprocals", "missing"),
+            ("classify", "directory"),
+            ("classify", "non-utf8"),
+            ("invariants", "non-utf8"),
+        ],
+    )
+    def test_unreadable_document_exit_2(self, capsys, tmp_path, command, document):
+        latin1 = tmp_path / "latin1.txt"
+        latin1.write_bytes("Q\n1 0 \xe9\n".encode("latin-1"))
+        path = {
+            "missing": tmp_path / "missing.txt",
+            "directory": tmp_path,
+            "non-utf8": latin1,
+        }[document]
+        code, out, err = run(capsys, [command, str(path)])
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
