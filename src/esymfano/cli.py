@@ -306,6 +306,8 @@ def _check_scenario_shape(scenario):
 def cmd_invariants(args):
     scenario = _load_scenario(args.scenario)
     if scenario is None:
+        if args.degree is not None:
+            raise InputError("--degree needs a scenario file; z2-example has no degree bound")
         result = invariants.z2_counterexample_report()
         report = {"command": "invariants", "scenario": "z2-example", **result}
         ok = (

@@ -335,12 +335,17 @@ def matchings(two_d: int):
     return out
 
 
-def enumerate_isolated(d: int, field=QQ):
+def enumerate_isolated(d: int, field=QQ, budget: int = 10**5):
     """The isolated Fano points for m = 2d: one plane per pairing of the
     coordinates, cut out by x_j + x_j' = 0 over the pairs."""
     if d < 1:
         raise ValueError("d must be positive")
     m = 2 * d
+    total = 1  # (2d - 1)!!, the number of pairings
+    for k in range(1, m, 2):
+        total *= k
+    if total > budget:
+        raise BudgetExceeded(f"{total} isolated points exceed the budget of {budget}")
     results = []
     for match in matchings(m):
         rows = []

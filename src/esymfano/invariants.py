@@ -48,15 +48,46 @@ class GroupAction:
         index = {g: i for i, g in enumerate(elems)}
         if len(index) != len(elems):
             raise ValueError("duplicate group elements")
-        if identity(n, self.field) not in index:
+        ident = identity(n, self.field)
+        if ident not in index:
             raise ValueError("identity matrix missing")
-        for g in elems:
-            if len(g) != n or any(len(row) != n for row in g):
-                raise ValueError("element of wrong dimension")
-            for h in elems:
-                if mat_mul(g, h, self.field) not in index:
-                    raise ValueError("element set not closed under multiplication")
+        if any(len(g) != n or any(len(row) != n for row in g) for g in elems):
+            raise ValueError("element of wrong dimension")
         object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_generators", self._generating_subset(ident))
+
+    def _generating_subset(self, ident):
+        """Indices of a generating subset T, checking closure on the way.
+
+        The elements are walked in order; each one not yet reached becomes a
+        generator, and the reached set is closed again from the identity
+        under right multiplication by T, every product looked up in the
+        element set.  At the end the reached set is the whole element set,
+        equal to the monoid generated by T and closed under right
+        multiplication by T, hence closed.  Each (element, generator) product
+        is formed once, and every new generator at least doubles the reached
+        subgroup, so this takes at most |G| log2 |G| products.
+        """
+        index, field = self._index, self.field
+        gens = []
+        reached = {ident}
+        for g in self.elements:
+            if g in reached:
+                continue
+            gens.append(g)
+            # reached elements have met every earlier generator; new ones meet all
+            todo = [(x, (g,)) for x in reached]
+            every = tuple(gens)
+            while todo:
+                x, ts = todo.pop()
+                for t in ts:
+                    prod = mat_mul(x, t, field)
+                    if prod not in index:
+                        raise ValueError("element set not closed under multiplication")
+                    if prod not in reached:
+                        reached.add(prod)
+                        todo.append((prod, every))
+        return tuple(index[t] for t in gens)
 
     @property
     def order(self):
@@ -123,9 +154,16 @@ class PermutationAction:
         for p in images:
             if sorted(p) != list(range(self.m)):
                 raise ValueError(f"{p} is not a permutation of 0..{self.m - 1}")
-        for i in range(self.group.order):
-            for j in range(self.group.order):
-                k = self.group.product_index(i, j)
+        # phi(g t) = phi(g) phi(t) for the generators t gives it for every
+        # pair, by induction on word length; phi(e) = id follows from it
+        # unless there are no generators, so check that separately
+        group = self.group
+        ident = group._index[identity(group.dimension, group.field)]
+        if images[ident] != tuple(range(self.m)):
+            raise ValueError("permutation assignment is not a homomorphism")
+        for i in range(group.order):
+            for j in group._generators:
+                k = group.product_index(i, j)
                 composed = tuple(images[i][images[j][x]] for x in range(self.m))
                 if composed != images[k]:
                     raise ValueError("permutation assignment is not a homomorphism")
@@ -241,17 +279,44 @@ def _span_dim(polys, field) -> int:
     return rank([tuple(g.terms.get(e, zero) for e in monos) for g in polys], field)
 
 
+def _invariant_dims(group: GroupAction, D: int):
+    """dim R^G_k for k = 0..D: the ranks of the Reynolds images of the
+    degree-k monomials, all degrees in one pass over the group.
+
+    The image of x^e under g is prod_i L_i^(e_i), L_i = row i of g as a
+    linear form.  For each g the degree-k images are built from the degree
+    k - 1 ones, img(x^e) = img(x^(e - u_j)) * L_j with j the first nonzero
+    index of e, and added into one sum per monomial.  The sums are the
+    Reynolds images times |G|, which leaves every rank unchanged.
+    """
+    group.require_large_characteristic()
+    field, n = group.field, group.dimension
+    # per degree k >= 1: (e, e - u_j, j) for each monomial x^e of degree k
+    steps = []
+    for k in range(1, D + 1):
+        level = []
+        for e in degree_monomials(n, k):
+            j = next(i for i, a in enumerate(e) if a)
+            level.append((e, e[:j] + (e[j] - 1,) + e[j + 1 :], j))
+        steps.append(level)
+    sums = [{e: Polynomial.zero(field, n) for e, _, _ in level} for level in steps]
+    for g in group.elements:
+        forms = [LinearForm(field, row).to_polynomial() for row in g]
+        images = {(0,) * n: Polynomial.one(field, n)}
+        for level, total in zip(steps, sums):
+            images = {e: images[lower] * forms[j] for e, lower, j in level}
+            for e, img in images.items():
+                total[e] = total[e] + img
+    # monomials in one orbit share a sum; repeated rows leave the rank as is
+    return [1] + [_span_dim(list(dict.fromkeys(total.values())), field) for total in sums]
+
+
 def invariant_dim(group: GroupAction, degree: int) -> int:
     """Dimension of the degree-D invariants: rank of the averaging projector
     on the monomial basis."""
-    group.require_large_characteristic()
-    field = group.field
-    n = group.dimension
-    images = []
-    for e in degree_monomials(n, degree):
-        mono = Polynomial(field, n, {e: field.one})
-        images.append(reynolds(mono, group))
-    return _span_dim(images, field)
+    if degree < 0:
+        raise ValueError(f"degree must be non-negative, got {degree}")
+    return _invariant_dims(group, degree)[degree]
 
 
 def subalgebra_graded_dims(gens, D: int):
@@ -317,7 +382,7 @@ def generation_check(group: GroupAction, seed_forms, D: int):
         sub_dims = subalgebra_graded_dims(gens, D)
     else:
         sub_dims = [1] + [0] * D
-    inv_dims = [1] + [invariant_dim(group, k) for k in range(1, D + 1)]
+    inv_dims = _invariant_dims(group, D)
     per_degree = []
     for k in range(D + 1):
         per_degree.append(

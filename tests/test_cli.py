@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -378,6 +379,15 @@ class TestOtherCommands:
         rep = json.loads(out)
         assert rep["count"] == count
 
+    def test_isolated_budget_exit_2(self, capsys):
+        # 13!! = 135,135 points exceed the default budget of 10^5
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["isolated", "--d", "7"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_isolated_d1_row(self, capsys):
         _, out, _ = run(capsys, ["--json", "isolated", "--d", "1"])
         rep = json.loads(out)
@@ -512,6 +522,13 @@ class TestOtherCommands:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(scenario))
         code, out, err = run(capsys, ["invariants", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("degree", ["-1", "3"])
+    def test_invariants_builtin_degree_exit_2(self, capsys, degree):
+        code, out, err = run(capsys, ["invariants", "z2-example", "--degree", degree])
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1

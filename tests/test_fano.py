@@ -275,6 +275,12 @@ class TestIsolated:
             for _, T in enumerate_isolated(d):
                 assert is_member_direct(T)
 
+    def test_budget(self):
+        # 5!! = 15 points for d = 3
+        assert len(enumerate_isolated(3, budget=15)) == 15
+        with pytest.raises(BudgetExceeded, match="15 isolated points exceed the budget of 14"):
+            enumerate_isolated(3, budget=14)
+
 
 class TestSampleMember:
     def test_single_class(self):

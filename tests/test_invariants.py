@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 
@@ -7,6 +8,8 @@ from esymfano.invariants import (
     GroupAction,
     NotInvariantSet,
     PermutationAction,
+    _invariant_dims,
+    _span_dim,
     check_equivariance,
     close_group,
     derive_permutation_rep,
@@ -20,7 +23,8 @@ from esymfano.invariants import (
     subalgebra_graded_dims,
     z2_counterexample_report,
 )
-from esymfano.poly import LinearForm, Polynomial, elem_sym
+from esymfano.linalg import mat_mul
+from esymfano.poly import LinearForm, Polynomial, degree_monomials, elem_sym
 
 from conftest import qm
 
@@ -38,6 +42,26 @@ def s3_group():
         [qm([[0, 1, 0], [1, 0, 0], [0, 0, 1]]), qm([[0, 0, 1], [1, 0, 0], [0, 1, 0]])],
         QQ,
     )
+
+
+# generators as integer matrices, so each group can be built over any field;
+# all are signed permutations except "order6", whose rotation [[0,-1],[1,-1]]
+# has a row with two nonzero entries
+GENERATORS = {
+    "sign": [[[-1, 0], [0, -1]]],
+    "swap": [[[0, 1], [1, 0]]],
+    "rotation4": [[[0, -1], [1, 0]]],
+    "s3": [[[0, 1, 0], [1, 0, 0], [0, 0, 1]], [[0, 0, 1], [1, 0, 0], [0, 1, 0]]],
+    "b2": [[[0, 1], [1, 0]], [[-1, 0], [0, 1]]],
+    "order6": [[[0, -1], [1, -1]], [[-1, 0], [0, -1]]],
+    "trivial": [[[1, 0], [0, 1]]],
+}
+F7 = PrimeField(7)
+
+
+def group_over(name, field):
+    gens = [[[field.from_int(x) for x in row] for row in g] for g in GENERATORS[name]]
+    return close_group(gens, field)
 
 
 def lf(*coeffs):
@@ -67,6 +91,46 @@ class TestCloseGroup:
     def test_closure_validated_at_construction(self):
         with pytest.raises(ValueError):
             GroupAction(QQ, 2, (qm([[1, 0], [0, 1]]), qm([[2, 0], [0, 1]])))
+
+    def test_closure_matches_brute_force(self):
+        """Every subset of S_3 holding the identity, in two element orders, is
+        accepted exactly when all |G|^2 products stay inside it."""
+        ident, *others = s3_group().elements
+        accepted = 0
+        for r in range(len(others) + 1):
+            for rest in combinations(others, r):
+                subset = (ident,) + rest
+                closed = all(mat_mul(g, h, QQ) in subset for g in subset for h in subset)
+                for order in (subset, subset[::-1]):
+                    if closed:
+                        assert GroupAction(QQ, 3, order).order == len(subset)
+                    else:
+                        with pytest.raises(
+                            ValueError, match="^element set not closed under multiplication$"
+                        ):
+                            GroupAction(QQ, 3, order)
+                accepted += closed
+        assert accepted == 6  # the trivial group, three of order 2, A_3 and S_3
+
+    @pytest.mark.parametrize(
+        "elements,message",
+        [
+            ([[[1, 0], [0, 1]], [[1, 0], [0, 1]]], "duplicate group elements"),
+            ([[[-1, 0], [0, -1]]], "identity matrix missing"),
+            ([[[1, 0], [0, 1]], [[1, 0]]], "element of wrong dimension"),
+        ],
+        ids=["duplicate", "no-identity", "wrong-dimension"],
+    )
+    def test_validation_messages(self, elements, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            GroupAction(QQ, 2, tuple(qm(g) for g in elements))
+
+    @pytest.mark.parametrize("name", sorted(GENERATORS))
+    def test_recorded_generators_generate(self, name):
+        g = group_over(name, QQ)
+        gens = [g.elements[i] for i in g._generators]
+        assert 2 ** len(gens) <= g.order
+        assert close_group(gens or [g.elements[0]], QQ).elements == g.elements
 
 
 class TestEquivariance:
@@ -99,6 +163,37 @@ class TestEquivariance:
         # sending the identity element to the transposition is no homomorphism
         with pytest.raises(ValueError):
             PermutationAction(g, 2, ((1, 0), (1, 0)))
+
+    def test_homomorphism_checked_beyond_generators(self):
+        """Wrong on one element that is neither a generator nor the
+        identity, right everywhere else: still refused, for every such
+        element.  Listed as 1, r, r^2, r^3, the rotation group has the one
+        generator r, and r^3 is no product of two generators."""
+        r = qm([[0, -1], [1, 0]])
+        powers = [qm([[1, 0], [0, 1]])]
+        for _ in range(3):
+            powers.append(mat_mul(powers[-1], r, QQ))
+        for g, rows in [
+            (s3_group(), [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+            (GroupAction(QQ, 2, tuple(powers)), [[1, 0], [0, 1], [-1, 0], [0, -1]]),
+        ]:
+            rho = derive_permutation_rep(qm(rows), g)
+            m = len(rows)
+            others = [k for k in range(1, g.order) if k not in g._generators]
+            assert others
+            for k in others:
+                images = list(rho.images)
+                images[k] = next(
+                    p for p in permutations(range(m)) if p not in (images[k], tuple(range(m)))
+                )
+                with pytest.raises(ValueError, match="not a homomorphism"):
+                    PermutationAction(g, m, tuple(images))
+
+    def test_trivial_group_identity_image(self):
+        trivial = group_over("trivial", QQ)
+        assert trivial._generators == ()
+        with pytest.raises(ValueError, match="not a homomorphism"):
+            PermutationAction(trivial, 2, ((1, 0),))
 
     def test_derived_rep_always_equivariant(self, rng):
         for _ in range(20):
@@ -202,6 +297,70 @@ class TestInvariantDim:
 
     def test_swap_group(self):
         assert invariant_dim(swap_group(), 2) == 2
+
+    @pytest.mark.parametrize(
+        "name,field",
+        [(name, QQ) for name in sorted(GENERATORS)]
+        + [(name, F7) for name in ("order6", "s3", "sign", "swap", "rotation4", "trivial")],
+    )
+    def test_matches_reynolds_images(self, name, field):
+        """The one-pass dimensions against the rank of the Reynolds images
+        of the monomials, built one substitution at a time."""
+        g = group_over(name, field)
+        dims = _invariant_dims(g, 4)
+        for k in range(5):
+            monos = [
+                Polynomial(field, g.dimension, {e: field.one})
+                for e in degree_monomials(g.dimension, k)
+            ]
+            expected = _span_dim([reynolds(m, g) for m in monos], field)
+            assert dims[k] == invariant_dim(g, k) == expected
+
+    def test_characteristic_guard(self):
+        with pytest.raises(FieldError):
+            invariant_dim(group_over("b2", F7), 2)  # |B_2| = 8 > 7
+
+    @pytest.mark.parametrize("name", sorted(GENERATORS))
+    def test_molien(self, name):
+        g = group_over(name, QQ)
+        assert _invariant_dims(g, 6) == molien_series(g, 6)
+
+    def test_negative_degree_rejected(self):
+        with pytest.raises(ValueError):
+            invariant_dim(sign_group(), -1)
+
+
+def determinant(m):
+    """Leibniz expansion; 1 for the empty matrix."""
+    total = Fraction(0)
+    for perm in permutations(range(len(m))):
+        inversions = sum(perm[a] > perm[b] for a, b in combinations(range(len(m)), 2))
+        term = Fraction((-1) ** inversions)
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total
+
+
+def molien_series(group, K):
+    """[t^k] (1/|G|) sum_g 1/det(I - t g) for k = 0..K, over Q (Molien 1897)."""
+    n = group.dimension
+    total = [Fraction(0)] * (K + 1)
+    for g in group.elements:
+        # det(I - t g) = sum_k (-t)^k (sum of the principal k x k minors of g)
+        p = [
+            (-1) ** k
+            * sum(
+                determinant([[g[i][j] for j in S] for i in S])
+                for S in combinations(range(n), k)
+            )
+            for k in range(n + 1)
+        ]
+        series = [Fraction(1)]  # 1 / p as a power series, p[0] = 1
+        for k in range(1, K + 1):
+            series.append(-sum(p[i] * series[k - i] for i in range(1, min(k, n) + 1)))
+        total = [a + b for a, b in zip(total, series)]
+    return [c / group.order for c in total]
 
 
 class TestPullback:
