@@ -31,6 +31,10 @@ class BudgetExceeded(RuntimeError):
     """Exhaustive enumeration would exceed the configured subspace budget."""
 
 
+# most isolated points enumerate_isolated builds; (2d - 1)!! passes it at d = 7
+ISOLATED_BUDGET = 10**5
+
+
 @dataclass(frozen=True)
 class PlaneMatrix:
     """Full-rank d x m scalar matrix; its row span is a candidate plane."""
@@ -335,7 +339,7 @@ def matchings(two_d: int):
     return out
 
 
-def enumerate_isolated(d: int, field=QQ, budget: int = 10**5):
+def enumerate_isolated(d: int, field=QQ):
     """The isolated Fano points for m = 2d: one plane per pairing of the
     coordinates, cut out by x_j + x_j' = 0 over the pairs."""
     if d < 1:
@@ -344,8 +348,10 @@ def enumerate_isolated(d: int, field=QQ, budget: int = 10**5):
     total = 1  # (2d - 1)!!, the number of pairings
     for k in range(1, m, 2):
         total *= k
-    if total > budget:
-        raise BudgetExceeded(f"{total} isolated points exceed the budget of {budget}")
+    if total > ISOLATED_BUDGET:
+        raise BudgetExceeded(
+            f"{total} isolated points exceed the budget of {ISOLATED_BUDGET}"
+        )
     results = []
     for match in matchings(m):
         rows = []

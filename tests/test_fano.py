@@ -275,11 +275,13 @@ class TestIsolated:
             for _, T in enumerate_isolated(d):
                 assert is_member_direct(T)
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
         # 5!! = 15 points for d = 3
-        assert len(enumerate_isolated(3, budget=15)) == 15
+        monkeypatch.setattr(fano, "ISOLATED_BUDGET", 15)
+        assert len(enumerate_isolated(3)) == 15
+        monkeypatch.setattr(fano, "ISOLATED_BUDGET", 14)
         with pytest.raises(BudgetExceeded, match="15 isolated points exceed the budget of 14"):
-            enumerate_isolated(3, budget=14)
+            enumerate_isolated(3)
 
 
 class TestSampleMember:
