@@ -7,13 +7,15 @@ report to stdout (flat deterministic text, or JSON with --json) and turns
 malformed or unreadable input (any ValueError, or an exceeded budget) into
 one "error:" line on stderr.  Any other exception is a bug and propagates.
 Exit status: 0 success, 1 mathematical negative, 2 input error, 3 internal
-inconsistency (the structural and direct verdicts disagree).
+inconsistency (the structural and direct verdicts disagree), 141 stdout
+closed before the report was written (128 + SIGPIPE, as in a shell).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import fano, invariants
@@ -30,6 +32,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
+EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a reader that left
 
 
 class InputError(ValueError):
@@ -415,7 +418,13 @@ def main(argv=None) -> int:
     except (ValueError, fano.BudgetExceeded, invariants.ClosureBudgetExceeded) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
-    emit(report, args.json)
+    try:
+        emit(report, args.json)
+    except BrokenPipeError:
+        # the reader left; devnull takes the rest so the flush at exit is quiet
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return EXIT_PIPE
     return status
 
 

@@ -22,6 +22,7 @@ from .poly import (
     LinearForm,
     Polynomial,
     degree_monomials,
+    esym,
     esym_almost_top,
     grlex_key,
 )
@@ -69,7 +70,7 @@ class PlaneMatrix:
 
     def column_forms(self):
         """The m linear forms in d variables given by the columns of T."""
-        return [LinearForm(self.field, self.column(j)) for j in range(self.m)]
+        return [LinearForm(self.field, col) for col in zip(*self.rows)]
 
 
 @dataclass(frozen=True)
@@ -170,7 +171,7 @@ def classify(T: PlaneMatrix) -> MembershipVerdict:
     columns whose reciprocal sums vanish.  Expands nothing; comparing with
     is_member_direct is the caller's independent check."""
     field = T.field
-    columns = [T.column(j) for j in range(T.m)]
+    columns = list(zip(*T.rows))
     zero_cols = [j for j, col in enumerate(columns) if all(x == field.zero for x in col)]
     if len(zero_cols) >= 2:
         return MembershipVerdict(True, ZeroPair(zero_cols[0], zero_cols[1]))
@@ -529,16 +530,9 @@ def reciprocal_relation_space(forms):
     if any(g.is_zero() for g in forms):
         raise ValueError("zero form present")
     polys = [g.to_polynomial() for g in forms]
-    nvars = polys[0].nvars
-    one = Polynomial.one(field, nvars)
-    prefix = [one]
-    for g in polys:
-        prefix.append(prefix[-1] * g)
-    suffix = [one]
-    for g in reversed(polys):
-        suffix.append(suffix[-1] * g)
-    suffix.reverse()
-    products = [prefix[j] * suffix[j + 1] for j in range(len(polys))]
+    m, zero = len(polys), Polynomial.zero(field, polys[0].nvars)
+    # E_{m-1} with f_j replaced by 0 is the one product that omits f_j
+    products = [esym(m - 1, polys[:j] + [zero] + polys[j + 1 :]) for j in range(m)]
     monomials = sorted({e for g in products for e in g.terms}, key=grlex_key)
     # one row per monomial, one column per form
     rows = [

@@ -7,6 +7,10 @@ Term iteration is deterministic (graded lexicographic).
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import lcm
+from operator import mul
+
 from .fields import FieldError
 
 
@@ -252,6 +256,12 @@ def esym(r: int, polys) -> Polynomial:
     for k > j + 1, and E_k for k < r - (m - 1 - j) can no longer reach E_r,
     so only the band of k between those bounds is updated.  For r = m - 1
     the band is two slots wide.
+
+    The loop runs on dicts from packed monomials to ints: exponents e pack to
+    sum_v e_v * base**v, base = 1 + sum_j deg(g_j), which no exponent of any
+    E_k reaches, so adding keys never carries.  Over F_p the ints are residues
+    reduced once per factor step; over Q the loop runs over Z on D g_j, D the
+    lcm of all denominators, and divides by D^r, as E_r(D g) = D^r E_r(g).
     """
     polys = list(polys)
     m = len(polys)
@@ -259,13 +269,34 @@ def esym(r: int, polys) -> Polynomial:
         raise ValueError("empty factor list")
     if not 0 <= r <= m:
         raise ValueError(f"esym order {r} outside [0, {m}]")
+    for g in polys[1:]:
+        polys[0]._check_compatible(g)
     field, nvars = polys[0].field, polys[0].nvars
+    p = field.characteristic
+    reduce = (lambda c: c % p) if p else int  # over Q the ints stay as they are
+    base = 1 + sum(max(map(sum, g.terms), default=0) for g in polys)
+    weights = [base**v for v in range(nvars)]
+    D = 1 if p else lcm(*(c.denominator for g in polys for c in g.terms.values()))
+    packed = [
+        [(sum(map(mul, exps, weights)), int(c * D)) for exps, c in g.terms.items()]
+        for g in polys
+    ]
     # e[k] holds E_k of the factors processed so far
-    e = [Polynomial.one(field, nvars)] + [Polynomial.zero(field, nvars)] * r
-    for j, g in enumerate(polys):
+    e = [{0: 1}] + [{}] * r
+    for j, g in enumerate(packed):
         for k in range(min(j + 1, r), max(0, r - m + j), -1):
-            e[k] = e[k] + e[k - 1] * g
-    return e[r]
+            acc = dict(e[k])
+            for a, ca in e[k - 1].items():
+                for b, cb in g:
+                    acc[a + b] = acc.get(a + b, 0) + ca * cb
+            e[k] = {key: c for key, c in zip(acc, map(reduce, acc.values())) if c}
+    scale = D**r
+    out = Polynomial(field, nvars)
+    out.terms = {
+        tuple(key // w % base for w in weights): c if p else Fraction(c, scale)
+        for key, c in e[r].items()
+    }
+    return out
 
 
 def elem_sym(r: int, m: int, field) -> Polynomial:

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import esymfano
 from esymfano import fano
-from esymfano.cli import main, parse_matrix_document, InputError
+from esymfano.cli import EXIT_PIPE, main, parse_matrix_document, InputError
 from esymfano.poly import default_names, format_monomial, grlex_key
 
 MATCHING_DOC = "Q\n1 0 -1 0\n0 1 0 -1\n"
@@ -393,6 +397,22 @@ class TestOtherCommands:
         _, out, _ = run(capsys, ["--json", "isolated", "--d", "1"])
         rep = json.loads(out)
         assert rep["points"][0]["matrix"] == [["1", "-1"]]
+
+    def test_closed_stdout_exit_pipe(self):
+        # isolated --d 5 prints about 430 KB, more than a pipe holds, so the
+        # writer is still printing when the reader closes its end
+        src = os.path.dirname(os.path.dirname(esymfano.__file__))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "esymfano.cli", "isolated", "--d", "5"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.stdout.readline() == b"command: isolated\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == EXIT_PIPE
+        assert err == b""
 
     def test_equations(self, capsys):
         code, out, _ = run(

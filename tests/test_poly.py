@@ -233,3 +233,103 @@ class TestEsym:
                 esym(r, [x, x])
         with pytest.raises(ValueError):
             esym(0, [])
+
+
+def sum_over_subsets(r, polys):
+    """E_r by brute force: the sum over r-subsets of their products."""
+    field, nvars = polys[0].field, polys[0].nvars
+    total = Polynomial.zero(field, nvars)
+    for subset in itertools.combinations(polys, r):
+        prod = Polynomial.one(field, nvars)
+        for g in subset:
+            prod = prod * g
+        total = total + prod
+    return total
+
+
+class TestEsymKernel:
+    """Inputs outside the integer linear forms of TestEsym: the packed kernel
+    scales Q by a common denominator, packs exponents in one radix and
+    checks that all factors share one ring."""
+
+    def test_mixed_denominators(self, rng):
+        for _ in range(40):
+            m, nvars = rng.randint(1, 5), rng.randint(1, 3)
+            polys = []
+            for _ in range(m):
+                terms = {}
+                for _ in range(rng.randint(1, 3)):
+                    e = tuple(rng.randint(0, 2) for _ in range(nvars))
+                    terms[e] = Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 4, 6, 7, 10]))
+                polys.append(Polynomial(QQ, nvars, terms))
+            for r in range(m + 1):
+                assert esym(r, polys) == sum_over_subsets(r, polys)
+        x = var(QQ, 1, 0)
+        assert esym(2, [x.scale(Fraction(1, 2)), x.scale(Fraction(2, 3))]) == Polynomial(
+            QQ, 1, {(2,): Fraction(1, 3)}
+        )
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
+    def test_non_homogeneous(self, field, rng):
+        for _ in range(40):
+            m, nvars = rng.randint(1, 4), rng.randint(1, 3)
+            polys = [rand_poly(field, nvars, rng) for _ in range(m)]
+            for r in range(m + 1):
+                assert esym(r, polys) == sum_over_subsets(r, polys)
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
+    def test_top_exponent_does_not_carry(self, field):
+        # degrees 2 + 2 + 3 = 7, so the radix is 8 and x^7 sits on its last
+        # digit; a radix of 7 would fold x^7 into y
+        x, y = var(field, 2, 0), var(field, 2, 1)
+        one = Polynomial.one(field, 2)
+        polys = [x * x + one, x * x.scale(field.from_int(2)) + y, x * x * x - one]
+        top = esym(3, polys)
+        assert top.coefficient((7, 0)) == field.from_int(2)
+        assert top.coefficient((0, 1)) == field.from_int(-1)
+        for r in range(4):
+            assert esym(r, polys) == sum_over_subsets(r, polys)
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
+    def test_zero_factor(self, field, rng):
+        for _ in range(20):
+            m, nvars = rng.randint(1, 5), rng.randint(1, 3)
+            polys = [rand_poly(field, nvars, rng, maxdeg=2) for _ in range(m)]
+            j = rng.randrange(m)
+            polys[j] = Polynomial.zero(field, nvars)
+            assert esym(m, polys).is_zero()
+            others = Polynomial.one(field, nvars)
+            for k, g in enumerate(polys):
+                if k != j:
+                    others = others * g
+            assert esym(m - 1, polys) == others
+            for r in range(m + 1):
+                assert esym(r, polys) == sum_over_subsets(r, polys)
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
+    def test_no_variables(self, field, rng):
+        for _ in range(20):
+            values = [
+                field.parse(f"{rng.randint(-4, 4)}/{rng.randint(1, 3)}")
+                if field == QQ
+                else field.from_int(rng.randint(-4, 4))
+                for _ in range(rng.randint(1, 5))
+            ]
+            polys = [Polynomial.constant(field, 0, v) for v in values]
+            for r in range(len(values) + 1):
+                expected = field.zero
+                for subset in itertools.combinations(values, r):
+                    prod = field.one
+                    for v in subset:
+                        prod = field.mul(prod, v)
+                    expected = field.add(expected, prod)
+                assert esym(r, polys) == Polynomial.constant(field, 0, expected)
+
+    def test_mismatched_rings_rejected(self):
+        x_q = var(QQ, 2, 0)
+        for other in (var(PrimeField(5), 2, 0), var(QQ, 3, 0), var(PrimeField(7), 2, 1)):
+            for polys in ([x_q, other], [other, x_q], [x_q, x_q, other]):
+                with pytest.raises(FieldError):
+                    esym(1, polys)
+                with pytest.raises(FieldError):
+                    esym_almost_top(polys)
