@@ -29,11 +29,14 @@ from .poly import (
 
 
 class BudgetExceeded(RuntimeError):
-    """Exhaustive enumeration would exceed the configured subspace budget."""
+    """An enumeration or expansion would exceed its budget."""
 
 
 # most isolated points enumerate_isolated builds; (2d - 1)!! passes it at d = 7
 ISOLATED_BUDGET = 10**5
+
+# most terms fano_chart_equations expands; (d, m) = (6, 13) has 2.0M, (7, 14) 6.6M
+EXPANSION_BUDGET = 3 * 10**6
 
 
 @dataclass(frozen=True)
@@ -129,7 +132,7 @@ class MembershipVerdict:
 
 def membership_expansion(T: PlaneMatrix) -> Polynomial:
     """E_{m-1} evaluated at the column forms of T, a polynomial in d variables."""
-    return esym_almost_top([g.to_polynomial() for g in T.column_forms()])
+    return esym_almost_top(T.column_forms())
 
 
 def is_member_direct(T: PlaneMatrix) -> bool:
@@ -264,6 +267,15 @@ def fano_chart_equations(d: int, m: int, chart: Chart, field=QQ):
         raise ValueError(f"need 1 <= d < m, got d={d}, m={m}")
     if chart.d != d or chart.m != m:
         raise ValueError("chart incompatible with (d, m)")
+    # E_{m-1} is the sum of the omit-one products, and their terms never meet:
+    # omitting one of the d pivots s_i leaves d**(m-d) monomials (one row i
+    # per avoided column), omitting one of the m - d avoided columns leaves
+    # d**(m-d-1)
+    terms = d ** (m - d - 1) * (d * d + m - d)
+    if terms > EXPANSION_BUDGET:
+        raise BudgetExceeded(
+            f"chart expansion of {terms} terms exceeds the budget of {EXPANSION_BUDGET}"
+        )
     na = d * (m - d)
     ntot = na + d  # unknowns first, then the s variables
     avoided_pos = {j: k for k, j in enumerate(chart.avoided)}
@@ -295,8 +307,10 @@ def fano_chart_equations(d: int, m: int, chart: Chart, field=QQ):
         bucket[a_part] = coeff
     equations = []
     for s_mono in degree_monomials(d, m - 1):
-        terms = by_s_monomial.get(s_mono, {})
-        equations.append((s_mono, Polynomial(field, na, terms)))
+        # the kernel's exponents and nonzero coefficients need no re-check
+        eq = Polynomial(field, na)
+        eq.terms = by_s_monomial.get(s_mono, {})
+        equations.append((s_mono, eq))
     return equations
 
 
@@ -529,10 +543,9 @@ def reciprocal_relation_space(forms):
     field = forms[0].field
     if any(g.is_zero() for g in forms):
         raise ValueError("zero form present")
-    polys = [g.to_polynomial() for g in forms]
-    m, zero = len(polys), Polynomial.zero(field, polys[0].nvars)
+    m, zero = len(forms), LinearForm(field, [field.zero] * forms[0].nvars)
     # E_{m-1} with f_j replaced by 0 is the one product that omits f_j
-    products = [esym(m - 1, polys[:j] + [zero] + polys[j + 1 :]) for j in range(m)]
+    products = [esym(m - 1, forms[:j] + [zero] + forms[j + 1 :]) for j in range(m)]
     monomials = sorted({e for g in products for e in g.terms}, key=grlex_key)
     # one row per monomial, one column per form
     rows = [

@@ -202,7 +202,7 @@ def orbit_chern(orbit, r: int) -> Polynomial:
     orbit = list(orbit)
     if not 1 <= r <= len(orbit):
         raise ValueError(f"order {r} outside [1, {len(orbit)}]")
-    return esym(r, [g.to_polynomial() for g in orbit])
+    return esym(r, orbit)
 
 
 def is_invariant(f: Polynomial, group: GroupAction) -> bool:

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from operator import mul
+from operator import lshift
+from sys import byteorder
 
 from .fields import FieldError
 
@@ -252,16 +253,22 @@ class LinearForm:
 def esym(r: int, polys) -> Polynomial:
     """E_r(g_1, ..., g_m): the t^r coefficient of prod_j (1 + g_j t).
 
-    Multiplied out one factor at a time.  After factor j, E_k is still zero
-    for k > j + 1, and E_k for k < r - (m - 1 - j) can no longer reach E_r,
-    so only the band of k between those bounds is updated.  For r = m - 1
-    the band is two slots wide.
+    The factors are Polynomials or LinearForms, in any mix, over one field and
+    one number of variables.  Multiplied out one factor at a time.  After
+    factor j, E_k is still zero for k > j + 1, and E_k for k < r - (m - 1 - j)
+    can no longer reach E_r, so only the band of k between those bounds is
+    updated.  For r = m - 1 the band is two slots wide.
 
-    The loop runs on dicts from packed monomials to ints: exponents e pack to
-    sum_v e_v * base**v, base = 1 + sum_j deg(g_j), which no exponent of any
-    E_k reaches, so adding keys never carries.  Over F_p the ints are residues
-    reduced once per factor step; over Q the loop runs over Z on D g_j, D the
-    lcm of all denominators, and divides by D^r, as E_r(D g) = D^r E_r(g).
+    The loop runs on dicts from packed monomials to ints.  Each variable gets
+    a slot of w bytes, the smallest w in {1, 2, 4, 8} with base <= 256**w,
+    base = 1 + sum_j deg(g_j) (a LinearForm counts 1).  No exponent of any
+    E_k reaches base, so adding keys never carries.  Exponents e pack to
+    sum_v e_v << 8*w*v; a LinearForm packs its coefficient row directly, one
+    key 1 << 8*w*v per nonzero c_v.  Each result key unpacks in one call, a
+    memoryview cast of its bytes to w-byte unsigned ints.  Over F_p the ints
+    are residues reduced once per factor step; over Q the loop runs over Z
+    on D g_j, D the lcm of all denominators, and divides by D^r, as
+    E_r(D g) = D^r E_r(g).
     """
     polys = list(polys)
     m = len(polys)
@@ -269,16 +276,29 @@ def esym(r: int, polys) -> Polynomial:
         raise ValueError("empty factor list")
     if not 0 <= r <= m:
         raise ValueError(f"esym order {r} outside [0, {m}]")
-    for g in polys[1:]:
-        polys[0]._check_compatible(g)
     field, nvars = polys[0].field, polys[0].nvars
+    for g in polys[1:]:
+        if g.field != field or g.nvars != nvars:
+            raise FieldError(
+                f"incompatible factors: {field}/{nvars} vars "
+                f"vs {g.field}/{g.nvars} vars"
+            )
     p = field.characteristic
     reduce = (lambda c: c % p) if p else int  # over Q the ints stay as they are
-    base = 1 + sum(max(map(sum, g.terms), default=0) for g in polys)
-    weights = [base**v for v in range(nvars)]
-    D = 1 if p else lcm(*(c.denominator for g in polys for c in g.terms.values()))
+    coeffs = (g.coeffs if isinstance(g, LinearForm) else g.terms.values() for g in polys)
+    D = 1 if p else lcm(*(c.denominator for cs in coeffs for c in cs))
+    base = 1 + sum(
+        1 if isinstance(g, LinearForm) else max(map(sum, g.terms), default=0)
+        for g in polys
+    )
+    w = next((w for w in (1, 2, 4, 8) if base <= 256**w), None)
+    if w is None:
+        raise ValueError(f"degree sum {base - 1} does not fit an 8-byte slot")
+    shifts = range(0, 8 * w * nvars, 8 * w)
     packed = [
-        [(sum(map(mul, exps, weights)), int(c * D)) for exps, c in g.terms.items()]
+        [(1 << s, int(c * D)) for s, c in zip(shifts, g.coeffs) if c]
+        if isinstance(g, LinearForm)
+        else [(sum(map(lshift, exps, shifts)), int(c * D)) for exps, c in g.terms.items()]
         for g in polys
     ]
     # e[k] holds E_k of the factors processed so far
@@ -290,10 +310,12 @@ def esym(r: int, polys) -> Polynomial:
                 for b, cb in g:
                     acc[a + b] = acc.get(a + b, 0) + ca * cb
             e[k] = {key: c for key, c in zip(acc, map(reduce, acc.values())) if c}
-    scale = D**r
+    scale, nbytes, code = D**r, nvars * w, "BHIQ"[w.bit_length() - 1]
     out = Polynomial(field, nvars)
     out.terms = {
-        tuple(key // w % base for w in weights): c if p else Fraction(c, scale)
+        tuple(memoryview(key.to_bytes(nbytes, byteorder)).cast(code)): (
+            c if p else Fraction(c, scale)
+        )
         for key, c in e[r].items()
     }
     return out

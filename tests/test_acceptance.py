@@ -50,7 +50,7 @@ def test_criterion_1_isolated_point_counts():
 def test_criterion_2_oracle_equivalence():
     t0 = time.time()
     runs = [(d, m, p) for (d, m) in [(1, 3), (1, 4), (2, 3), (2, 4), (2, 5), (3, 4), (3, 5)] for p in (2, 3)]
-    runs.append((3, 6, 2))
+    runs += [(3, 6, 2), (3, 6, 3), (4, 7, 2)]
     ok = True
     for d, m, p in runs:
         result = cross_check(d, m, PrimeField(p))

@@ -423,6 +423,18 @@ class TestOtherCommands:
         assert rep["equation_count"] == 1
         assert rep["equations"][0]["coefficient"] == "a1_2 + a1_1 + a1_1*a1_2"
 
+    def test_equations_budget_exit_2(self, capsys, monkeypatch):
+        # (7, 14) expands to 7**6 * 56 = 6,588,344 terms, past the budget of
+        # 3 * 10**6, and is refused before the expansion starts
+        def refuse(polys):
+            raise AssertionError("chart expanded past the budget")
+
+        monkeypatch.setattr(fano, "esym_almost_top", refuse)
+        code, out, err = run(capsys, ["equations", "--d", "7", "--m", "14"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_xcheck(self, capsys):
         code, out, _ = run(
             capsys, ["--json", "xcheck", "--d", "2", "--m", "4", "--prime", "3"]

@@ -30,7 +30,7 @@ from esymfano.fano import (
 )
 from esymfano.fields import QQ, PrimeField
 from esymfano.linalg import rank
-from esymfano.poly import LinearForm, Polynomial
+from esymfano.poly import LinearForm, Polynomial, elem_sym, poly_eval
 
 from conftest import qm
 
@@ -220,6 +220,55 @@ class TestChartEquations:
             )
             all_zero = all(eq.eval_at(point) == 0 for _, eq in eqs)
             assert all_zero == is_member_direct(T)
+
+    @pytest.mark.parametrize("d,m", [(2, 4), (2, 5), (3, 5), (3, 6)])
+    def test_reassembled_expansion(self, d, m):
+        # sum_s s^mono * eq over the equations must be E_{m-1} substituted at
+        # the chart's columns: s_i at pivot i, sum_i a_{i,k} s_i at avoided k
+        na, ntot = d * (m - d), d * (m - d) + d
+
+        def x(v):
+            return Polynomial.variable(QQ, ntot, v)
+
+        charts = charts_covering(d, m)
+        for chart in (charts[0], charts[-1]):
+            columns = []
+            for j in range(m):
+                if j in chart.pivots:
+                    columns.append(x(na + chart.pivots.index(j)))
+                else:
+                    k = chart.avoided.index(j)
+                    col = Polynomial.zero(QQ, ntot)
+                    for i in range(d):
+                        col = col + x(i * (m - d) + k) * x(na + i)
+                    columns.append(col)
+            expected = poly_eval(elem_sym(m - 1, m, QQ), columns)
+            terms = {}
+            for s_mono, eq in fano_chart_equations(d, m, chart):
+                for a_exps, c in eq.terms.items():
+                    terms[a_exps + s_mono] = c
+            assert not expected.is_zero()
+            assert Polynomial(QQ, ntot, terms) == expected
+
+    def test_budget(self, monkeypatch):
+        # the budget's term count is exact: (3, 6) expands to 3**2 * 12 = 108
+        sizes = []
+        original = fano.esym_almost_top
+
+        def spy(polys):
+            out = original(polys)
+            sizes.append(len(out.terms))
+            return out
+
+        monkeypatch.setattr(fano, "esym_almost_top", spy)
+        chart = charts_covering(3, 6)[-1]
+        monkeypatch.setattr(fano, "EXPANSION_BUDGET", 108)
+        fano_chart_equations(3, 6, chart)
+        assert sizes == [108]
+        monkeypatch.setattr(fano, "EXPANSION_BUDGET", 107)
+        with pytest.raises(BudgetExceeded, match="108 terms exceeds the budget of 107"):
+            fano_chart_equations(3, 6, chart)
+        assert sizes == [108]
 
 
 class TestDimensions:

@@ -279,8 +279,8 @@ class TestEsymKernel:
 
     @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
     def test_top_exponent_does_not_carry(self, field):
-        # degrees 2 + 2 + 3 = 7, so the radix is 8 and x^7 sits on its last
-        # digit; a radix of 7 would fold x^7 into y
+        # degrees 2 + 2 + 3 = 7, so x^7 is the largest exponent a slot must
+        # hold; a slot that held only 0..6 would fold x^7 into y
         x, y = var(field, 2, 0), var(field, 2, 1)
         one = Polynomial.one(field, 2)
         polys = [x * x + one, x * x.scale(field.from_int(2)) + y, x * x * x - one]
@@ -289,6 +289,55 @@ class TestEsymKernel:
         assert top.coefficient((0, 1)) == field.from_int(-1)
         for r in range(4):
             assert esym(r, polys) == sum_over_subsets(r, polys)
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
+    @pytest.mark.parametrize("top", [255, 256])
+    def test_byte_slot_boundary(self, field, top):
+        # degree sum 255 fits one-byte slots with x^255 on the top value of
+        # x's byte; at 256 the slots widen to two bytes, or x^256 would
+        # carry into y's slot
+        x, y = var(field, 2, 0), var(field, 2, 1)
+        one = Polynomial.one(field, 2)
+        polys = [x ** (top - 2) + y, x + one, x.scale(field.from_int(2)) - y]
+        prod = esym(3, polys)
+        assert prod.coefficient((top, 0)) == field.from_int(2)
+        assert prod.coefficient((0, 2)) == field.from_int(-1)
+        for r in range(4):
+            assert esym(r, polys) == sum_over_subsets(r, polys)
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
+    def test_linear_forms_packed_directly(self, field, rng):
+        dens = [1, 2, 3, 4, 6, 7, 10]
+        for _ in range(40):
+            m, nvars = rng.randint(1, 6), rng.randint(1, 3)
+            forms = []
+            for _ in range(m):
+                if rng.random() < 0.2:
+                    coeffs = [field.zero] * nvars
+                elif field == QQ:
+                    coeffs = [Fraction(rng.randint(-9, 9), rng.choice(dens)) for _ in range(nvars)]
+                else:
+                    coeffs = [field.from_int(rng.randint(-4, 4)) for _ in range(nvars)]
+                forms.append(LinearForm(field, coeffs))
+            polys = [g.to_polynomial() for g in forms]
+            mixed = [g if k % 2 else polys[k] for k, g in enumerate(forms)]
+            for r in range(m + 1):
+                assert esym(r, forms) == esym(r, polys)
+                assert esym(r, mixed) == esym(r, polys)
+
+    def test_mixed_factor_kinds_mismatched_rejected(self):
+        form_q = LinearForm(QQ, (Fraction(1), Fraction(2)))
+        for other in (
+            var(PrimeField(5), 2, 0),
+            var(QQ, 3, 0),
+            LinearForm(PrimeField(5), (1, 2)),
+            LinearForm(QQ, (Fraction(1),)),
+        ):
+            for polys in ([form_q, other], [other, form_q], [var(QQ, 2, 1), form_q, other]):
+                with pytest.raises(FieldError):
+                    esym(1, polys)
+                with pytest.raises(FieldError):
+                    esym_almost_top(polys)
 
     @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
     def test_zero_factor(self, field, rng):
