@@ -33,11 +33,7 @@ from .fano import (
 from .invariants import (
     ClosureBudgetExceeded,
     GroupAction,
-    NotInvariantSet,
-    PermutationAction,
-    check_equivariance,
     close_group,
-    derive_permutation_rep,
     generation_check,
     invariant_dim,
     is_invariant,

@@ -5,6 +5,10 @@ workhorses: orbits of linear forms, elementary symmetric polynomials
 evaluated on an orbit (always invariant), the averaging projector onto
 invariants, and exact graded dimension counts used to test whether a
 generator set spans the whole invariant ring degree by degree.
+
+A finite set of matrices that holds the identity and is closed under right
+multiplication by invertible members that generate it is a group.  _close
+builds such sets; close_group's result is proved a group once, by _close.
 """
 
 from __future__ import annotations
@@ -25,12 +29,35 @@ from .poly import (
 )
 
 
-class NotInvariantSet(ValueError):
-    """The row set of U is not stable under the group action."""
-
-
 class ClosureBudgetExceeded(RuntimeError):
     pass
+
+
+CLOSURE_BUDGET = 10**4  # most elements close_group lists before refusing
+
+
+def _close(reached, gens, new, field, admit):
+    """Extend reached, a set of matrices closed under right multiplication by
+    gens, until it is closed under right multiplication by new as well.
+
+    Elements already reached meet only new; each newly reached element
+    meets every generator, so every (element, generator) product is formed
+    once.  admit(prod) vets each new element before it joins, and raises to
+    refuse it.  Started from the identity, reached ends as the monoid the
+    generators generate.  When that is finite and the generators are
+    invertible, it is a group: g^a = g^b with a < b makes g^(b - a - 1) the
+    inverse of g.
+    """
+    every = tuple(gens) + tuple(new)
+    todo = [(x, new) for x in reached]
+    while todo:
+        x, ts = todo.pop()
+        for t in ts:
+            prod = mat_mul(x, t, field)
+            if prod not in reached:
+                admit(prod)
+                reached.add(prod)
+                todo.append((prod, every))
 
 
 @dataclass(frozen=True)
@@ -42,59 +69,40 @@ class GroupAction:
     elements: tuple  # tuples of tuples of scalars; elements[0] is the identity
 
     def __post_init__(self):
+        """Each element not yet reached must be invertible and becomes a
+        generator for _close, every product looked up in the element set, so
+        the elements end as the group the generators generate.  Each new
+        generator at least doubles the reached subgroup: at most log2 |G|
+        rank checks and |G| log2 |G| products."""
         elems = tuple(tuple(tuple(row) for row in g) for g in self.elements)
         object.__setattr__(self, "elements", elems)
-        n = self.dimension
-        index = {g: i for i, g in enumerate(elems)}
-        if len(index) != len(elems):
+        n, field = self.dimension, self.field
+        members = set(elems)
+        if len(members) != len(elems):
             raise ValueError("duplicate group elements")
-        ident = identity(n, self.field)
-        if ident not in index:
+        ident = identity(n, field)
+        if ident not in members:
             raise ValueError("identity matrix missing")
         if any(len(g) != n or any(len(row) != n for row in g) for g in elems):
             raise ValueError("element of wrong dimension")
-        object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_generators", self._generating_subset(ident))
 
-    def _generating_subset(self, ident):
-        """Indices of a generating subset T, checking closure on the way.
+        def admit(prod):
+            if prod not in members:
+                raise ValueError("element set not closed under multiplication")
 
-        The elements are walked in order; each one not yet reached becomes a
-        generator, and the reached set is closed again from the identity
-        under right multiplication by T, every product looked up in the
-        element set.  At the end the reached set is the whole element set,
-        equal to the monoid generated by T and closed under right
-        multiplication by T, hence closed.  Each (element, generator) product
-        is formed once, and every new generator at least doubles the reached
-        subgroup, so this takes at most |G| log2 |G| products.
-        """
-        index, field = self._index, self.field
         gens = []
         reached = {ident}
-        for g in self.elements:
+        for g in elems:
             if g in reached:
                 continue
+            if not is_invertible(g, field):
+                raise ValueError("non-invertible element")
+            _close(reached, gens, (g,), field, admit)
             gens.append(g)
-            # reached elements have met every earlier generator; new ones meet all
-            todo = [(x, (g,)) for x in reached]
-            every = tuple(gens)
-            while todo:
-                x, ts = todo.pop()
-                for t in ts:
-                    prod = mat_mul(x, t, field)
-                    if prod not in index:
-                        raise ValueError("element set not closed under multiplication")
-                    if prod not in reached:
-                        reached.add(prod)
-                        todo.append((prod, every))
-        return tuple(index[t] for t in gens)
 
     @property
     def order(self):
         return len(self.elements)
-
-    def product_index(self, i: int, j: int) -> int:
-        return self._index[mat_mul(self.elements[i], self.elements[j], self.field)]
 
     def require_large_characteristic(self):
         p = self.field.characteristic
@@ -104,77 +112,38 @@ class GroupAction:
             )
 
 
-def close_group(generators, field=QQ, budget: int = 10**4) -> GroupAction:
-    """The group generated by the matrices, as an explicit element list."""
+def close_group(generators, field=QQ) -> GroupAction:
+    """The group generated by the matrices, as an explicit element list.
+    _close proves it a group, so GroupAction's check is skipped."""
     gens = [tuple(tuple(row) for row in g) for g in generators]
     if not gens:
         raise ValueError("no generators")
     n = len(gens[0])
+    if any(len(g) != n for g in gens):
+        raise ValueError("generators of different sizes")
     for g in gens:
         if not is_invertible(g, field):
             raise ValueError("non-invertible generator")
-    seen = {identity(n, field)}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for h in gens:
-                prod = mat_mul(g, h, field)
-                if prod not in seen:
-                    seen.add(prod)
-                    nxt.append(prod)
-                    if len(seen) > budget:
-                        raise ClosureBudgetExceeded(
-                            f"group closure exceeds {budget} elements"
-                        )
-        frontier = nxt
-    elements = sorted(seen)
-    # put the identity first for readability
     ident = identity(n, field)
-    elements.remove(ident)
-    elements.insert(0, ident)
-    return GroupAction(field, n, tuple(elements))
+    seen = {ident}
 
+    def admit(prod):
+        if len(seen) >= CLOSURE_BUDGET:
+            raise ClosureBudgetExceeded(
+                f"group closure exceeds {CLOSURE_BUDGET} elements"
+            )
 
-@dataclass(frozen=True)
-class PermutationAction:
-    """A homomorphism to the symmetric group on m symbols, aligned with a
-    GroupAction's element list.  images[k] is the permutation of element k,
-    as a tuple of 0-based images."""
-
-    group: GroupAction
-    m: int
-    images: tuple
-
-    def __post_init__(self):
-        images = tuple(tuple(p) for p in self.images)
-        object.__setattr__(self, "images", images)
-        if len(images) != self.group.order:
-            raise ValueError("one permutation per group element required")
-        for p in images:
-            if sorted(p) != list(range(self.m)):
-                raise ValueError(f"{p} is not a permutation of 0..{self.m - 1}")
-        # phi(g t) = phi(g) phi(t) for the generators t gives it for every
-        # pair, by induction on word length; phi(e) = id follows from it
-        # unless there are no generators, so check that separately
-        group = self.group
-        ident = group._index[identity(group.dimension, group.field)]
-        if images[ident] != tuple(range(self.m)):
-            raise ValueError("permutation assignment is not a homomorphism")
-        for i in range(group.order):
-            for j in group._generators:
-                k = group.product_index(i, j)
-                composed = tuple(images[i][images[j][x]] for x in range(self.m))
-                if composed != images[k]:
-                    raise ValueError("permutation assignment is not a homomorphism")
+    _close(seen, (), gens, field, admit)
+    seen.remove(ident)
+    group = object.__new__(GroupAction)
+    object.__setattr__(group, "field", field)
+    object.__setattr__(group, "dimension", n)
+    # the identity first for readability
+    object.__setattr__(group, "elements", (ident, *sorted(seen)))
+    return group
 
 
 # -- actions on forms and polynomials --------------------------------------
-
-
-def act_on_form(f: LinearForm, matrix) -> LinearForm:
-    """The pullback f . phi: x -> f(phi x)."""
-    return f.compose_matrix(matrix)
 
 
 def act_on_polynomial(f: Polynomial, matrix) -> Polynomial:
@@ -190,7 +159,7 @@ def orbit_of_form(f: LinearForm, group: GroupAction):
     seen = []
     seen_set = set()
     for g in group.elements:
-        img = act_on_form(f, g)
+        img = f.compose_matrix(g)
         if img.coeffs not in seen_set:
             seen_set.add(img.coeffs)
             seen.append(img)
@@ -217,55 +186,6 @@ def reynolds(f: Polynomial, group: GroupAction) -> Polynomial:
     for g in group.elements:
         total = total + act_on_polynomial(f, g)
     return total.scale(field.inv(field.from_int(group.order)))
-
-
-# -- equivariant maps -------------------------------------------------------
-
-
-def check_equivariance(U, phi: GroupAction, rho: PermutationAction) -> bool:
-    """rho_s U == U phi_s for every s, with rho acting by permutation matrices."""
-    U = [tuple(row) for row in U]
-    field = phi.field
-    if rho.group is not phi and rho.group != phi:
-        raise ValueError("permutation action attached to a different group")
-    if len(U) != rho.m or (U and len(U[0]) != phi.dimension):
-        raise ValueError("U has incompatible dimensions")
-    for k, g in enumerate(phi.elements):
-        perm = rho.images[k]
-        inv = [0] * len(perm)
-        for a, b in enumerate(perm):
-            inv[b] = a
-        for j in range(len(U)):
-            # row j of rho_s U is row inv[j] of U; it must equal U[j] . phi_s
-            lhs = U[inv[j]]
-            rhs = LinearForm(field, U[j]).compose_matrix(g).coeffs
-            if lhs != rhs:
-                return False
-    return True
-
-
-def derive_permutation_rep(U, phi: GroupAction) -> PermutationAction:
-    """The permutation action induced on the rows of U, which must form an
-    invariant set of pairwise distinct forms."""
-    U = [tuple(row) for row in U]
-    if len(set(U)) != len(U):
-        raise ValueError("rows of U must be pairwise distinct")
-    field = phi.field
-    row_index = {row: j for j, row in enumerate(U)}
-    images = []
-    for g in phi.elements:
-        tau = []
-        for j, row in enumerate(U):
-            img = LinearForm(field, row).compose_matrix(g).coeffs
-            if img not in row_index:
-                raise NotInvariantSet(f"row {j} maps outside the row set")
-            tau.append(row_index[img])
-        # invert so the assignment is a homomorphism for phi_{st} = phi_s phi_t
-        sigma = [0] * len(U)
-        for j, t in enumerate(tau):
-            sigma[t] = j
-        images.append(tuple(sigma))
-    return PermutationAction(phi, len(U), tuple(images))
 
 
 # -- graded dimensions ------------------------------------------------------

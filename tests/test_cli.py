@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import esymfano
-from esymfano import fano
+from esymfano import fano, invariants
 from esymfano.cli import EXIT_PIPE, main, parse_matrix_document, InputError
 from esymfano.poly import default_names, format_monomial, grlex_key
 
@@ -554,6 +554,16 @@ class TestOtherCommands:
     def test_invariants_bad_shape_exit_2(self, capsys, tmp_path, scenario):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(scenario))
+        code, out, err = run(capsys, ["invariants", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_invariants_closure_budget_exit_2(self, capsys, tmp_path, monkeypatch):
+        # the shear [[1, 1], [0, 1]] has infinite order over Q
+        monkeypatch.setattr(invariants, "CLOSURE_BUDGET", 50)
+        path = tmp_path / "shear.json"
+        path.write_text(json.dumps({"generators": [[[1, 1], [0, 1]]], "seeds": [[1, 0]]}))
         code, out, err = run(capsys, ["invariants", str(path)])
         assert code == 2
         assert out == ""

@@ -3,16 +3,13 @@ from itertools import combinations, permutations
 
 import pytest
 
+from esymfano import invariants
 from esymfano.fields import QQ, FieldError, PrimeField
 from esymfano.invariants import (
     GroupAction,
-    NotInvariantSet,
-    PermutationAction,
     _invariant_dims,
     _span_dim,
-    check_equivariance,
     close_group,
-    derive_permutation_rep,
     generation_check,
     invariant_dim,
     is_invariant,
@@ -23,7 +20,7 @@ from esymfano.invariants import (
     subalgebra_graded_dims,
     z2_counterexample_report,
 )
-from esymfano.linalg import mat_mul
+from esymfano.linalg import identity, mat_mul
 from esymfano.poly import LinearForm, Polynomial, degree_monomials, elem_sym
 
 from conftest import qm
@@ -125,82 +122,33 @@ class TestCloseGroup:
         with pytest.raises(ValueError, match=f"^{message}$"):
             GroupAction(QQ, 2, tuple(qm(g) for g in elements))
 
+    @pytest.mark.parametrize(
+        "singular", [[[0, 0], [0, 0]], [[1, 0], [0, 0]]], ids=["zero", "projection"]
+    )
+    def test_monoid_that_is_no_group_rejected(self, singular):
+        """{I, S} with S idempotent is closed under products, but S has no
+        inverse in it."""
+        with pytest.raises(ValueError, match="^non-invertible element$"):
+            GroupAction(QQ, 2, (qm([[1, 0], [0, 1]]), qm(singular)))
+
+    @pytest.mark.parametrize("field", [QQ, F7], ids=["Q", "F7"])
     @pytest.mark.parametrize("name", sorted(GENERATORS))
-    def test_recorded_generators_generate(self, name):
-        g = group_over(name, QQ)
-        gens = [g.elements[i] for i in g._generators]
-        assert 2 ** len(gens) <= g.order
-        assert close_group(gens or [g.elements[0]], QQ).elements == g.elements
+    def test_closure_passes_validation(self, name, field):
+        """close_group skips GroupAction's check; the check accepts its list."""
+        g = group_over(name, field)
+        assert GroupAction(field, g.dimension, g.elements) == g
+        assert g.elements[0] == identity(g.dimension, field)
 
+    def test_generators_of_different_sizes_rejected(self, monkeypatch):
+        def refuse(a, b, field):
+            raise AssertionError("product formed before the sizes were checked")
 
-class TestEquivariance:
-    def test_identity_intertwines_swap(self):
-        g = swap_group()
-        rho = derive_permutation_rep(qm([[1, 0], [0, 1]]), g)
-        assert check_equivariance(qm([[1, 0], [0, 1]]), g, rho)
-
-    def test_diagonal_breaks_swap(self):
-        g = swap_group()
-        rho = derive_permutation_rep(qm([[1, 0], [0, 1]]), g)
-        assert not check_equivariance(qm([[1, 0], [0, 2]]), g, rho)
-
-    def test_sign_pair_rows(self):
-        g = sign_group()
-        U = qm([[1, 0], [-1, 0]])
-        rho = derive_permutation_rep(U, g)
-        assert check_equivariance(U, g, rho)
-        # the nontrivial element swaps the two rows
-        nontrivial = [p for p in rho.images if p != (0, 1)]
-        assert nontrivial == [(1, 0)]
-
-    def test_not_invariant_set(self):
-        g = sign_group()
-        with pytest.raises(NotInvariantSet):
-            derive_permutation_rep(qm([[1, 0], [0, 2]]), g)
-
-    def test_homomorphism_enforced(self):
-        g = swap_group()
-        # sending the identity element to the transposition is no homomorphism
-        with pytest.raises(ValueError):
-            PermutationAction(g, 2, ((1, 0), (1, 0)))
-
-    def test_homomorphism_checked_beyond_generators(self):
-        """Wrong on one element that is neither a generator nor the
-        identity, right everywhere else: still refused, for every such
-        element.  Listed as 1, r, r^2, r^3, the rotation group has the one
-        generator r, and r^3 is no product of two generators."""
-        r = qm([[0, -1], [1, 0]])
-        powers = [qm([[1, 0], [0, 1]])]
-        for _ in range(3):
-            powers.append(mat_mul(powers[-1], r, QQ))
-        for g, rows in [
-            (s3_group(), [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
-            (GroupAction(QQ, 2, tuple(powers)), [[1, 0], [0, 1], [-1, 0], [0, -1]]),
-        ]:
-            rho = derive_permutation_rep(qm(rows), g)
-            m = len(rows)
-            others = [k for k in range(1, g.order) if k not in g._generators]
-            assert others
-            for k in others:
-                images = list(rho.images)
-                images[k] = next(
-                    p for p in permutations(range(m)) if p not in (images[k], tuple(range(m)))
-                )
-                with pytest.raises(ValueError, match="not a homomorphism"):
-                    PermutationAction(g, m, tuple(images))
-
-    def test_trivial_group_identity_image(self):
-        trivial = group_over("trivial", QQ)
-        assert trivial._generators == ()
-        with pytest.raises(ValueError, match="not a homomorphism"):
-            PermutationAction(trivial, 2, ((1, 0),))
-
-    def test_derived_rep_always_equivariant(self, rng):
-        for _ in range(20):
-            g = s3_group()
-            U = qm([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-            rho = derive_permutation_rep(U, g)
-            assert check_equivariance(U, g, rho)
+        monkeypatch.setattr(invariants, "mat_mul", refuse)
+        swap2 = qm([[0, 1], [1, 0]])
+        swap3 = qm([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+        for gens in ([swap2, swap3], [swap3, swap2]):
+            with pytest.raises(ValueError, match="^generators of different sizes$"):
+                close_group(gens, QQ)
 
 
 class TestOrbits:

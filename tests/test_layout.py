@@ -1,9 +1,12 @@
 """Source layout rules checked by reading the package's own files."""
 
 import ast
+import importlib.util
+import inspect
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "esymfano"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "esymfano"
 
 
 def private_sibling_imports(path):
@@ -37,3 +40,26 @@ def test_no_private_cross_module_imports():
     assert modules
     found = [hit for path in modules for hit in private_sibling_imports(path)]
     assert found == []
+
+
+def test_bench_tracer_hooks_exist_and_are_restored():
+    """The benchmark's tracer finds every attribute it hooks, replaces them,
+    and puts each original back on uninstall."""
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    owners = list(tracing.MODULES)
+    owners += [
+        cls
+        for mod in tracing.MODULES
+        for cls in vars(mod).values()
+        if inspect.isclass(cls) and cls.__module__.startswith("esymfano")
+    ]
+    before = [dict(vars(owner)) for owner in owners]
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()  # an AttributeError here names a hook that is gone
+        assert all(getattr(h, a) is not orig for h, a, orig in tracer._undo)
+    finally:
+        tracer.uninstall()
+    assert [dict(vars(owner)) for owner in owners] == before
