@@ -39,7 +39,6 @@ from .invariants import (
     is_invariant,
     orbit_chern,
     orbit_of_form,
-    pullback_symmetric,
     reynolds,
     subalgebra_graded_dims,
     z2_counterexample_report,

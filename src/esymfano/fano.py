@@ -17,14 +17,14 @@ from fractions import Fraction
 from math import comb
 
 from .fields import QQ, FieldError
-from .linalg import is_invertible, nullspace, rank
+from .linalg import is_invertible, mat_mul, nullspace, rank
 from .poly import (
     LinearForm,
     Polynomial,
+    coefficient_rows,
     degree_monomials,
     esym,
     esym_almost_top,
-    grlex_key,
 )
 
 
@@ -410,17 +410,7 @@ def sample_member(classes, scalars, d: int, field=QQ, seed: int = 0) -> PlaneMat
         mix = [[field.from_int(rng.randint(-9, 9)) for _ in range(k)] for _ in range(d)]
         if rank(mix, field) == d:
             break
-    rows = []
-    for alpha in range(d):
-        row = [field.zero] * m
-        for i in range(k):
-            c = mix[alpha][i]
-            if c == field.zero:
-                continue
-            for j in range(m):
-                row[j] = field.add(row[j], field.mul(c, w[i][j]))
-        rows.append(tuple(row))
-    return PlaneMatrix(field, tuple(rows))
+    return PlaneMatrix(field, mat_mul(mix, w, field))
 
 
 def random_partition_certificate(class_sizes, rng, field=QQ):
@@ -546,14 +536,9 @@ def reciprocal_relation_space(forms):
     m, zero = len(forms), LinearForm(field, [field.zero] * forms[0].nvars)
     # E_{m-1} with f_j replaced by 0 is the one product that omits f_j
     products = [esym(m - 1, forms[:j] + [zero] + forms[j + 1 :]) for j in range(m)]
-    monomials = sorted({e for g in products for e in g.terms}, key=grlex_key)
-    # one row per monomial, one column per form
-    rows = [
-        tuple(g.coefficient(e) for g in products) for e in monomials
-    ]
-    if not rows:
-        rows = [tuple(field.zero for _ in products)]
-    return nullspace(rows, field)
+    # one row per monomial, one column per form; a product of nonzero forms
+    # is nonzero, so there is at least one row
+    return nullspace(list(zip(*coefficient_rows(products))), field)
 
 
 def proportionality_class_count(forms) -> int:

@@ -61,7 +61,7 @@ class RationalField:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / a
+        return self.one / a
 
     def parse(self, s: str):
         try:

@@ -21,11 +21,10 @@ from .linalg import identity, is_invertible, mat_mul, rank
 from .poly import (
     LinearForm,
     Polynomial,
+    coefficient_rows,
     degree_monomials,
-    elem_sym,
     esym,
-    grlex_key,
-    poly_eval,
+    substitute_linear_forms,
 )
 
 
@@ -66,7 +65,7 @@ class GroupAction:
 
     field: object
     dimension: int
-    elements: tuple  # tuples of tuples of scalars; elements[0] is the identity
+    elements: tuple  # tuples of tuples of scalars; close_group lists the identity first
 
     def __post_init__(self):
         """Each element not yet reached must be invertible and becomes a
@@ -146,14 +145,6 @@ def close_group(generators, field=QQ) -> GroupAction:
 # -- actions on forms and polynomials --------------------------------------
 
 
-def act_on_polynomial(f: Polynomial, matrix) -> Polynomial:
-    """Substitute x_i -> sum_j matrix[i][j] x_j."""
-    field = f.field
-    n = f.nvars
-    args = [LinearForm(field, matrix[i]).to_polynomial() for i in range(n)]
-    return poly_eval(f, args)
-
-
 def orbit_of_form(f: LinearForm, group: GroupAction):
     """The orbit {f . phi_s}, deduplicated, in first-seen order."""
     seen = []
@@ -174,8 +165,10 @@ def orbit_chern(orbit, r: int) -> Polynomial:
     return esym(r, orbit)
 
 
+# f . g substitutes x_i -> sum_j g[i][j] x_j, row i of g; substitute_linear_forms
+# reads the columns of its matrix, so it is given the transpose of g
 def is_invariant(f: Polynomial, group: GroupAction) -> bool:
-    return all(act_on_polynomial(f, g) == f for g in group.elements)
+    return all(substitute_linear_forms(f, tuple(zip(*g))) == f for g in group.elements)
 
 
 def reynolds(f: Polynomial, group: GroupAction) -> Polynomial:
@@ -184,7 +177,7 @@ def reynolds(f: Polynomial, group: GroupAction) -> Polynomial:
     field = f.field
     total = Polynomial.zero(field, f.nvars)
     for g in group.elements:
-        total = total + act_on_polynomial(f, g)
+        total = total + substitute_linear_forms(f, tuple(zip(*g)))
     return total.scale(field.inv(field.from_int(group.order)))
 
 
@@ -193,10 +186,8 @@ def reynolds(f: Polynomial, group: GroupAction) -> Polynomial:
 
 def _span_dim(polys, field) -> int:
     """Dimension of the span of the polynomials: the rank of their
-    coefficient rows over the monomials that occur in any of them."""
-    monos = sorted({e for g in polys for e in g.terms}, key=grlex_key)
-    zero = field.zero
-    return rank([tuple(g.terms.get(e, zero) for e in monos) for g in polys], field)
+    coefficient rows."""
+    return rank(coefficient_rows(polys), field)
 
 
 def _invariant_dims(group: GroupAction, D: int):
@@ -252,25 +243,20 @@ def subalgebra_graded_dims(gens, D: int):
         if not g.is_homogeneous():
             raise ValueError("inhomogeneous generator")
         degs.append(g.degree())
-    dims = [1]  # the empty product spans the constants
+    # levels[k]: (product, largest generator index) per multiset of degree k;
+    # g_i multiplies only the products whose largest index is at most i, so
+    # each multiset is multiplied out once
+    levels = [[(Polynomial.one(field, nvars), 0)]]
     for k in range(1, D + 1):
-        products = []
-        _accumulate_products(
-            gens, degs, k, 0, Polynomial.one(field, nvars), products
-        )
-        dims.append(_span_dim(products, field))
-    return dims
-
-
-def _accumulate_products(gens, degs, remaining, start, acc, out):
-    if remaining == 0:
-        out.append(acc)
-        return
-    for i in range(start, len(gens)):
-        if 0 < degs[i] <= remaining:
-            _accumulate_products(
-                gens, degs, remaining - degs[i], i, acc * gens[i], out
-            )
+        levels.append([
+            (p * g, i)
+            for i, (g, deg) in enumerate(zip(gens, degs))
+            if 0 < deg <= k
+            for p, last in levels[k - deg]
+            if last <= i
+        ])
+    # the empty product spans the constants
+    return [1] + [_span_dim([p for p, _ in level], field) for level in levels[1:]]
 
 
 # -- generation check and the quadratic counterexample ----------------------
@@ -355,9 +341,8 @@ def z2_counterexample_report(trials: int = 50, seed: int = 0):
         for a, b in pairs:
             g = LinearForm(field, (a, b)).to_polynomial()
             q = q + g * g
-        n = len(forms)
-        e1 = pullback_symmetric(elem_sym(1, n, field), forms)
-        e2 = pullback_symmetric(elem_sym(2, n, field), forms)
+        e1 = esym(1, forms)
+        e2 = esym(2, forms)
         e1sq = e1 * e1
         for g in (e1sq, e2):
             if not _in_span([q], g, field):
@@ -392,25 +377,3 @@ def z2_counterexample_report(trials: int = 50, seed: int = 0):
 
 def _in_span(basis, target, field):
     return _span_dim(basis + [target], field) == _span_dim(basis, field)
-
-
-def pullback_symmetric(p: Polynomial, forms) -> Polynomial:
-    """p(f_1, ..., f_m) for a symmetric p; symmetry is verified by checking
-    invariance under adjacent transpositions rather than trusted."""
-    forms = list(forms)
-    if len(forms) != p.nvars:
-        raise ValueError(f"need {p.nvars} forms, got {len(forms)}")
-    for i in range(p.nvars - 1):
-        swapped = _swap_vars(p, i, i + 1)
-        if swapped != p:
-            raise ValueError("polynomial is not symmetric")
-    return poly_eval(p, [g.to_polynomial() for g in forms])
-
-
-def _swap_vars(p: Polynomial, i: int, j: int) -> Polynomial:
-    terms = {}
-    for e, c in p.terms.items():
-        e2 = list(e)
-        e2[i], e2[j] = e2[j], e2[i]
-        terms[tuple(e2)] = c
-    return Polynomial(p.field, p.nvars, terms)

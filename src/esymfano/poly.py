@@ -380,6 +380,14 @@ def substitute_linear_forms(f: Polynomial, matrix) -> Polynomial:
     return poly_eval(f, forms)
 
 
+def coefficient_rows(polys):
+    """One row per polynomial: its coefficients over every monomial that
+    occurs in any of them, the monomials in first-seen order."""
+    polys = list(polys)
+    monos = dict.fromkeys(e for g in polys for e in g.terms)
+    return [tuple(g.terms.get(e, g.field.zero) for e in monos) for g in polys]
+
+
 def esym_almost_top(polys) -> Polynomial:
     """E_{m-1}(g_1, ..., g_m) = sum_j prod_{k != j} g_k."""
     polys = list(polys)
@@ -393,6 +401,17 @@ def default_names(nvars, stem="x"):
     return [f"{stem}{i+1}" for i in range(nvars)]
 
 
+def _factors(exps, names) -> str:
+    """The product of the named variables to their exponents; '' for 1."""
+    factors = []
+    for name, e in zip(names, exps):
+        if e == 1:
+            factors.append(name)
+        elif e > 1:
+            factors.append(f"{name}^{e}")
+    return "*".join(factors)
+
+
 def format_polynomial(p: Polynomial, names=None) -> str:
     if p.is_zero():
         return "0"
@@ -401,21 +420,16 @@ def format_polynomial(p: Polynomial, names=None) -> str:
     field = p.field
     parts = []
     for exps, coeff in p.sorted_terms():
-        factors = []
-        for name, e in zip(names, exps):
-            if e == 1:
-                factors.append(name)
-            elif e > 1:
-                factors.append(f"{name}^{e}")
+        mono = _factors(exps, names)
         cs = field.fmt(coeff)
-        if not factors:
+        if not mono:
             parts.append(cs)
         elif cs == "1":
-            parts.append("*".join(factors))
+            parts.append(mono)
         elif cs == "-1":
-            parts.append("-" + "*".join(factors))
+            parts.append("-" + mono)
         else:
-            parts.append(cs + "*" + "*".join(factors))
+            parts.append(cs + "*" + mono)
     out = parts[0]
     for part in parts[1:]:
         if part.startswith("-"):
@@ -428,10 +442,4 @@ def format_polynomial(p: Polynomial, names=None) -> str:
 def format_monomial(exps, names=None) -> str:
     if names is None:
         names = default_names(len(exps))
-    factors = []
-    for name, e in zip(names, exps):
-        if e == 1:
-            factors.append(name)
-        elif e > 1:
-            factors.append(f"{name}^{e}")
-    return "*".join(factors) if factors else "1"
+    return _factors(exps, names) or "1"

@@ -334,6 +334,41 @@ basis: []
         '{"command": "reciprocals", "field": "Q", "num_forms": 3, '
         '"num_classes": 3, "relation_space_dim": 0, "basis": []}\n',
     ),
+    # nonzero relation spaces pin the basis values and their order
+    "reciprocals-q-basis": (
+        ["reciprocals", "forms.txt"],
+        ("forms.txt", "Q\n1 2 3\n2 4 6\n1 0 1\n-1 -2 -3\n0 1 1\n"),
+        0,
+        """\
+command: reciprocals
+field: Q
+num_forms: 5
+num_classes: 3
+relation_space_dim: 2
+basis.[0]: [-1/2, 1, 0, 0, 0]
+basis.[1]: [1, 0, 0, 1, 0]
+""",
+        '{"command": "reciprocals", "field": "Q", "num_forms": 5, '
+        '"num_classes": 3, "relation_space_dim": 2, "basis": '
+        '[["-1/2", "1", "0", "0", "0"], ["1", "0", "0", "1", "0"]]}\n',
+    ),
+    "reciprocals-f7-basis": (
+        ["reciprocals", "forms.txt"],
+        ("forms.txt", "F7\n1 2\n2 4\n3 6\n0 1\n"),
+        0,
+        """\
+command: reciprocals
+field: F7
+num_forms: 4
+num_classes: 2
+relation_space_dim: 2
+basis.[0]: [3, 1, 0, 0]
+basis.[1]: [2, 0, 1, 0]
+""",
+        '{"command": "reciprocals", "field": "F7", "num_forms": 4, '
+        '"num_classes": 2, "relation_space_dim": 2, "basis": '
+        '[["3", "1", "0", "0"], ["2", "0", "1", "0"]]}\n',
+    ),
     "invariants": (
         ["invariants", "swap.json"],
         ("swap.json", json.dumps(SWAP_SCENARIO)),

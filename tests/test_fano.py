@@ -55,6 +55,10 @@ class TestPlaneMatrix:
         with pytest.raises(ValueError):
             plane([[1, 0], [0, 1], [1, 1]])
 
+    def test_rank_enforced_on_plain_ints(self):
+        with pytest.raises(ValueError):
+            PlaneMatrix(QQ, ((3, 5, 1), (9, 15, 3)))
+
 
 class TestDirectMembership:
     def test_matching_plane(self):

@@ -15,13 +15,12 @@ from esymfano.invariants import (
     is_invariant,
     orbit_chern,
     orbit_of_form,
-    pullback_symmetric,
     reynolds,
     subalgebra_graded_dims,
     z2_counterexample_report,
 )
 from esymfano.linalg import identity, mat_mul
-from esymfano.poly import LinearForm, Polynomial, degree_monomials, elem_sym
+from esymfano.poly import LinearForm, Polynomial, degree_monomials, elem_sym, poly_eval
 
 from conftest import qm
 
@@ -84,6 +83,10 @@ class TestCloseGroup:
     def test_non_invertible_rejected(self):
         with pytest.raises(ValueError):
             close_group([qm([[1, 0], [2, 0]])], QQ)
+
+    def test_non_invertible_plain_ints_rejected(self):
+        with pytest.raises(ValueError, match="^non-invertible generator$"):
+            close_group([[[3, 5], [9, 15]]])
 
     def test_closure_validated_at_construction(self):
         with pytest.raises(ValueError):
@@ -186,7 +189,13 @@ class TestOrbitChern:
         assert orbit_chern([lf(1, 1), lf(1, -1)], 2) == X * X - Y * Y
 
     def test_always_invariant_random(self, rng):
-        groups = [sign_group(), swap_group(), s3_group(), close_group([qm([[0, -1], [1, 0]])], QQ)]
+        groups = [
+            sign_group(),
+            swap_group(),
+            s3_group(),
+            close_group([qm([[0, -1], [1, 0]])], QQ),
+            group_over("order6", QQ),  # not closed under transpose
+        ]
         for _ in range(100):
             g = groups[rng.randrange(len(groups))]
             f = lf(*(rng.randint(-3, 3) for _ in range(g.dimension)))
@@ -236,6 +245,14 @@ class TestIsInvariant:
 
     def test_elementary_symmetric_under_s3(self):
         assert is_invariant(elem_sym(2, 3, QQ), s3_group())
+
+    def test_group_not_closed_under_transpose(self):
+        """x^2 - xy + y^2 is fixed by the rotation x -> -y, y -> x - y of
+        order 3, whose transpose lies outside the group."""
+        g = close_group([qm([[0, -1], [1, -1]])], QQ)
+        assert g.order == 3
+        assert all(tuple(zip(*m)) not in g.elements for m in g.elements[1:])
+        assert is_invariant(X * X - X * Y + Y * Y, g)
 
 
 class TestInvariantDim:
@@ -311,29 +328,32 @@ def molien_series(group, K):
     return [c / group.order for c in total]
 
 
+def pullback(p, forms):
+    """p(f_1, ..., f_m), substituted term by term: the oracle for esym."""
+    return poly_eval(p, [f.to_polynomial() for f in forms])
+
+
 class TestPullback:
+    """E_r at the orbit forms (orbit_chern, run by esym) against the
+    elementary symmetric polynomial substituted through poly_eval."""
+
     def test_matches_orbit_chern(self):
         orb = [lf(1, 0), lf(-1, 0)]
-        assert pullback_symmetric(elem_sym(2, 2, QQ), orb) == orbit_chern(orb, 2)
+        assert pullback(elem_sym(2, 2, QQ), orb) == orbit_chern(orb, 2)
 
     def test_matches_orbit_chern_every_order(self):
         orb = orbit_of_form(lf(1, 2, 3), s3_group())
         assert len(orb) == 6
         for r in range(1, 7):
-            assert pullback_symmetric(elem_sym(r, 6, QQ), orb) == orbit_chern(orb, r)
+            assert pullback(elem_sym(r, 6, QQ), orb) == orbit_chern(orb, r)
 
     def test_e1(self):
         forms = [lf(1, 0, 0), lf(0, 1, 0), lf(0, 0, 1)]
-        assert pullback_symmetric(elem_sym(1, 3, QQ), forms) == orbit_chern(forms, 1)
+        assert pullback(elem_sym(1, 3, QQ), forms) == orbit_chern(forms, 1)
 
     def test_product_expansion(self):
-        z1z2 = Polynomial(QQ, 2, {(1, 1): Fraction(1)})
-        assert pullback_symmetric(z1z2, [lf(1, 1), lf(1, -1)]) == X * X - Y * Y
-
-    def test_asymmetric_rejected(self):
-        z1 = Polynomial.variable(QQ, 2, 0)
-        with pytest.raises(ValueError):
-            pullback_symmetric(z1, [lf(1, 0), lf(0, 1)])
+        forms = [lf(1, 1), lf(1, -1)]
+        assert pullback(elem_sym(2, 2, QQ), forms) == orbit_chern(forms, 2) == X * X - Y * Y
 
 
 class TestSubalgebraDims:

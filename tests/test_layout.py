@@ -63,3 +63,20 @@ def test_bench_tracer_hooks_exist_and_are_restored():
     finally:
         tracer.uninstall()
     assert [dict(vars(owner)) for owner in owners] == before
+
+
+def test_monomial_order_stays_at_the_presentation_layer():
+    """The graded-lex order decides how terms are printed and which witness
+    is shown; spans, ranks and nullspaces must not depend on it, so only
+    poly (which defines it) and cli use grlex_key."""
+    users = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if (
+                (isinstance(node, ast.Name) and node.id == "grlex_key")
+                or (isinstance(node, ast.Attribute) and node.attr == "grlex_key")
+                or (isinstance(node, ast.alias) and node.name == "grlex_key")
+            ):
+                users.add(path.name)
+    assert users == {"cli.py", "poly.py"}

@@ -1,3 +1,4 @@
+from fractions import Fraction
 
 from esymfano.fields import QQ, PrimeField
 from esymfano.linalg import is_invertible, mat_mul, nullspace, rank, rref
@@ -41,3 +42,11 @@ def test_mat_mul():
 def test_nullspace_dimension():
     rows = qm([[1, 1, 1, 1]])
     assert len(nullspace(rows, QQ)) == 3
+
+
+def test_plain_int_entries_over_q_stay_exact():
+    """Python ints are rationals too: the inverse of 3 is 1/3, not 0.333..."""
+    assert QQ.inv(3) == Fraction(1, 3)
+    assert rank([[3, 5, 1], [9, 15, 3]], QQ) == 1
+    assert not is_invertible([[3, 5], [9, 15]], QQ)
+    assert nullspace([[3, 1], [6, 2]], QQ) == [(Fraction(-1, 3), 1)]
