@@ -185,7 +185,7 @@ def cmd_equations(args):
         avoided = tuple(range(d, m))
     pivots = tuple(j for j in range(m) if j not in avoided)
     chart = fano.Chart(avoided, pivots)
-    equations = fano.fano_chart_equations(d, m, chart)
+    equations = fano.fano_chart_equations(chart)
     a_names = [f"a{i+1}_{k+1}" for i in range(d) for k in range(m - d)]
     s_names = default_names(d, "s")
     report = {
@@ -244,23 +244,13 @@ def cmd_brute(args):
 def cmd_xcheck(args):
     field = PrimeField(args.prime)
     result = fano.cross_check(args.d, args.m, field, args.budget)
-    report = {
-        "command": "xcheck",
-        "d": result["d"],
-        "m": result["m"],
-        "p": result["p"],
-        "total": result["total"],
-        "members": result["members"],
-        "mismatches": result["mismatches"],
-        "certificate_histogram": result["certificate_histogram"],
-        "class_count_histogram": {
-            str(k): v for k, v in sorted(result["class_count_histogram"].items())
-        },
+    examples = result.pop("mismatch_examples")
+    report = {"command": "xcheck", **result}
+    report["class_count_histogram"] = {
+        str(k): v for k, v in sorted(result["class_count_histogram"].items())
     }
-    if result["mismatches"]:
-        report["mismatch_examples"] = [
-            fmt_matrix(rows, field) for rows in result["mismatch_examples"]
-        ]
+    if examples:
+        report["mismatch_examples"] = [fmt_matrix(rows, field) for rows in examples]
     return report, EXIT_OK if result["mismatches"] == 0 else EXIT_INTERNAL
 
 

@@ -255,7 +255,7 @@ def chart_fits(T: PlaneMatrix, chart: Chart) -> bool:
     return is_invertible(sub, T.field)
 
 
-def fano_chart_equations(d: int, m: int, chart: Chart, field=QQ):
+def fano_chart_equations(chart: Chart, field=QQ):
     """Defining equations of the Fano scheme on one chart.
 
     The chart matrix has identity columns at the pivot positions and unknown
@@ -263,10 +263,9 @@ def fano_chart_equations(d: int, m: int, chart: Chart, field=QQ):
     d*(m-d) unknowns per degree-(m-1) monomial in the s variables (graded-lex
     monomial order), C(m-2+d, d-1) equations in all.
     """
+    d, m = chart.d, chart.m
     if not 1 <= d < m:
         raise ValueError(f"need 1 <= d < m, got d={d}, m={m}")
-    if chart.d != d or chart.m != m:
-        raise ValueError("chart incompatible with (d, m)")
     # E_{m-1} is the sum of the omit-one products, and their terms never meet:
     # omitting one of the d pivots s_i leaves d**(m-d) monomials (one row i
     # per avoided column), omitting one of the m - d avoided columns leaves
@@ -278,26 +277,19 @@ def fano_chart_equations(d: int, m: int, chart: Chart, field=QQ):
         )
     na = d * (m - d)
     ntot = na + d  # unknowns first, then the s variables
-    avoided_pos = {j: k for k, j in enumerate(chart.avoided)}
-    pivot_pos = {j: k for k, j in enumerate(chart.pivots)}
 
-    def a_var(i, k):
-        return Polynomial.variable(field, ntot, i * (m - d) + k)
+    def mono(*indices):
+        return tuple(int(v in indices) for v in range(ntot))
 
-    def s_var(i):
-        return Polynomial.variable(field, ntot, na + i)
-
-    column_polys = []
-    for j in range(m):
-        if j in pivot_pos:
-            column_polys.append(s_var(pivot_pos[j]))
-        else:
-            k = avoided_pos[j]
-            g = Polynomial.zero(field, ntot)
-            for i in range(d):
-                g = g + a_var(i, k) * s_var(i)
-            column_polys.append(g)
-    expansion = esym_almost_top(column_polys)
+    # pivot column i is s_i, avoided column k is sum_i a_{i,k} s_i; E_{m-1}
+    # is symmetric, so the columns may come in any order
+    one = field.one
+    columns = [Polynomial(field, ntot, {mono(na + i): one}) for i in range(d)]
+    columns += [
+        Polynomial(field, ntot, {mono(i * (m - d) + k, na + i): one for i in range(d)})
+        for k in range(m - d)
+    ]
+    expansion = esym_almost_top(columns)
 
     by_s_monomial = {}
     for exps, coeff in expansion.terms.items():
@@ -339,19 +331,15 @@ def matchings(two_d: int):
     """All pairings of {0..two_d-1} into two_d/2 pairs, lex by sorted pair lists."""
     if two_d < 2 or two_d % 2:
         raise ValueError(f"need a positive even count, got {two_d}")
-    out = []
-
-    def rec(remaining, acc):
-        if not remaining:
-            out.append(tuple(acc))
-            return
-        a = remaining[0]
-        for idx in range(1, len(remaining)):
-            b = remaining[idx]
-            rec(remaining[1:idx] + remaining[idx + 1 :], acc + [(a, b)])
-
-    rec(tuple(range(two_d)), [])
-    return out
+    # (pairs so far, indices left); the first index left pairs with each later one
+    partial = [((), tuple(range(two_d)))]
+    for _ in range(two_d // 2):
+        partial = [
+            (pairs + ((rest[0], rest[i]),), rest[1:i] + rest[i + 1 :])
+            for pairs, rest in partial
+            for i in range(1, len(rest))
+        ]
+    return [pairs for pairs, _ in partial]
 
 
 def enumerate_isolated(d: int, field=QQ):
@@ -413,12 +401,15 @@ def sample_member(classes, scalars, d: int, field=QQ, seed: int = 0) -> PlaneMat
     return PlaneMatrix(field, mat_mul(mix, w, field))
 
 
-def random_partition_certificate(class_sizes, rng, field=QQ):
+def random_partition_certificate(class_sizes, rng):
     """Random (classes, scalars) with each class reciprocal sum exactly zero.
 
     class_sizes is a sequence of sizes >= 2; columns are assigned to classes
-    in a random order.
+    in a random order.  The scalars are Fractions.
     """
+    if any(size < 2 for size in class_sizes):
+        # one nonzero reciprocal cannot sum to zero
+        raise ValueError(f"class sizes must be at least 2, got {list(class_sizes)}")
     m = sum(class_sizes)
     cols = list(range(m))
     rng.shuffle(cols)
@@ -491,7 +482,8 @@ def cross_check(d: int, m: int, field, budget: int = 10**6):
     """Assert classify == direct expansion on every subspace; report stats."""
     total = 0
     members = 0
-    mismatches = []
+    mismatches = 0
+    examples = []  # the rows of the first five mismatching planes
     cert_hist = {"zero_pair": 0, "partition": 0}
     class_count_hist = {}
     for T in enumerate_subspaces(d, m, field, budget):
@@ -499,7 +491,9 @@ def cross_check(d: int, m: int, field, budget: int = 10**6):
         direct = is_member_direct(T)
         verdict = classify(T)
         if verdict.member != direct:
-            mismatches.append(T)
+            mismatches += 1
+            if len(examples) < 5:
+                examples.append(T.rows)
         if verdict.member:
             members += 1
             if isinstance(verdict.certificate, ZeroPair):
@@ -514,8 +508,8 @@ def cross_check(d: int, m: int, field, budget: int = 10**6):
         "p": field.characteristic,
         "total": total,
         "members": members,
-        "mismatches": len(mismatches),
-        "mismatch_examples": [T.rows for T in mismatches[:5]],
+        "mismatches": mismatches,
+        "mismatch_examples": examples,
         "certificate_histogram": cert_hist,
         "class_count_histogram": class_count_hist,
     }

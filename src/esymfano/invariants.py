@@ -24,7 +24,7 @@ from .poly import (
     coefficient_rows,
     degree_monomials,
     esym,
-    substitute_linear_forms,
+    poly_eval,
 )
 
 
@@ -145,16 +145,16 @@ def close_group(generators, field=QQ) -> GroupAction:
 # -- actions on forms and polynomials --------------------------------------
 
 
+def _row_forms(g, field):
+    """The rows of g as degree-one polynomials: f . g substitutes x_i -> row i."""
+    return [LinearForm(field, row).to_polynomial() for row in g]
+
+
 def orbit_of_form(f: LinearForm, group: GroupAction):
     """The orbit {f . phi_s}, deduplicated, in first-seen order."""
-    seen = []
-    seen_set = set()
-    for g in group.elements:
-        img = f.compose_matrix(g)
-        if img.coeffs not in seen_set:
-            seen_set.add(img.coeffs)
-            seen.append(img)
-    return seen
+    field = f.field
+    images = (LinearForm(field, mat_mul((f.coeffs,), g, field)[0]) for g in group.elements)
+    return list(dict.fromkeys(images))
 
 
 def orbit_chern(orbit, r: int) -> Polynomial:
@@ -165,10 +165,8 @@ def orbit_chern(orbit, r: int) -> Polynomial:
     return esym(r, orbit)
 
 
-# f . g substitutes x_i -> sum_j g[i][j] x_j, row i of g; substitute_linear_forms
-# reads the columns of its matrix, so it is given the transpose of g
 def is_invariant(f: Polynomial, group: GroupAction) -> bool:
-    return all(substitute_linear_forms(f, tuple(zip(*g))) == f for g in group.elements)
+    return all(poly_eval(f, _row_forms(g, f.field)) == f for g in group.elements)
 
 
 def reynolds(f: Polynomial, group: GroupAction) -> Polynomial:
@@ -177,7 +175,7 @@ def reynolds(f: Polynomial, group: GroupAction) -> Polynomial:
     field = f.field
     total = Polynomial.zero(field, f.nvars)
     for g in group.elements:
-        total = total + substitute_linear_forms(f, tuple(zip(*g)))
+        total = total + poly_eval(f, _row_forms(g, field))
     return total.scale(field.inv(field.from_int(group.order)))
 
 
@@ -212,7 +210,7 @@ def _invariant_dims(group: GroupAction, D: int):
         steps.append(level)
     sums = [{e: Polynomial.zero(field, n) for e, _, _ in level} for level in steps]
     for g in group.elements:
-        forms = [LinearForm(field, row).to_polynomial() for row in g]
+        forms = _row_forms(g, field)
         images = {(0,) * n: Polynomial.one(field, n)}
         for level, total in zip(steps, sums):
             images = {e: images[lower] * forms[j] for e, lower, j in level}
@@ -265,18 +263,11 @@ def subalgebra_graded_dims(gens, D: int):
 def orbit_chern_generators(group: GroupAction, seed_forms):
     """All elementary symmetric evaluations on the orbits of the seed forms,
     dropping zero polynomials and duplicates."""
-    gens = []
-    seen = set()
-    for f in seed_forms:
-        orbit = orbit_of_form(f, group)
-        for r in range(1, len(orbit) + 1):
-            g = orbit_chern(orbit, r)
-            if g.is_zero():
-                continue
-            if g not in seen:
-                seen.add(g)
-                gens.append(g)
-    return gens
+    orbits = [orbit_of_form(f, group) for f in seed_forms]
+    gens = dict.fromkeys(
+        orbit_chern(orbit, r) for orbit in orbits for r in range(1, len(orbit) + 1)
+    )
+    return [g for g in gens if not g.is_zero()]
 
 
 def generation_check(group: GroupAction, seed_forms, D: int):

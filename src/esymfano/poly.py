@@ -8,6 +8,7 @@ Term iteration is deterministic (graded lexicographic).
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import lcm
 from operator import lshift
 from sys import byteorder
@@ -21,18 +22,11 @@ def grlex_key(exps):
 
 def degree_monomials(nvars: int, degree: int):
     """All exponent tuples of the given total degree, graded-lex order."""
-    monos = []
-
-    def rec(head, remaining, slots):
-        if slots == 1:
-            monos.append(tuple(head) + (remaining,))
-            return
-        for e in range(remaining + 1):
-            rec(head + [e], remaining - e, slots - 1)
-
-    rec([], degree, nvars)
-    monos.sort(key=grlex_key)
-    return monos
+    monos = (
+        tuple(map(c.count, range(nvars)))
+        for c in combinations_with_replacement(range(nvars), degree)
+    )
+    return sorted(monos, key=grlex_key)
 
 
 class Polynomial:
@@ -156,18 +150,6 @@ class Polynomial:
         out.terms = {e: f.mul(c, scalar) for e, c in self.terms.items()}
         return out
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power")
-        result = Polynomial.one(self.field, self.nvars)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
-
     def __eq__(self, other):
         return (
             isinstance(other, Polynomial)
@@ -178,20 +160,6 @@ class Polynomial:
 
     def __hash__(self):
         return hash((self.field, self.nvars, frozenset(self.terms.items())))
-
-    def eval_at(self, point):
-        """Evaluate at a tuple of scalars."""
-        if len(point) != self.nvars:
-            raise ValueError("point length mismatch")
-        f = self.field
-        total = f.zero
-        for e, c in self.terms.items():
-            v = c
-            for x, k in zip(point, e):
-                for _ in range(k):
-                    v = f.mul(v, x)
-            total = f.add(total, v)
-        return total
 
     def __repr__(self):
         return f"Polynomial({self.field}, {self.nvars}, {format_polynomial(self)})"
@@ -220,18 +188,6 @@ class LinearForm:
             if c != self.field.zero:
                 terms[tuple(1 if j == i else 0 for j in range(n))] = c
         return Polynomial(self.field, n, terms)
-
-    def compose_matrix(self, matrix) -> "LinearForm":
-        """The form x -> self(M x); coefficients are the row self.coeffs @ M."""
-        f = self.field
-        n = len(matrix[0])
-        out = [f.zero] * n
-        for i, c in enumerate(self.coeffs):
-            if c == f.zero:
-                continue
-            for j in range(n):
-                out[j] = f.add(out[j], f.mul(c, matrix[i][j]))
-        return LinearForm(f, out)
 
     def __eq__(self, other):
         return (

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -183,7 +184,7 @@ class TestCharts:
 class TestChartEquations:
     def test_d1_m3(self):
         chart = Chart((1, 2), (0,))
-        eqs = fano_chart_equations(1, 3, chart)
+        eqs = fano_chart_equations(chart)
         assert len(eqs) == 1
         mono, eq = eqs[0]
         assert mono == (2,)
@@ -193,20 +194,20 @@ class TestChartEquations:
         assert eq == a + b + a * b
 
     def test_d1_m2(self):
-        eqs = fano_chart_equations(1, 2, Chart((1,), (0,)))
+        eqs = fano_chart_equations(Chart((1,), (0,)))
         assert len(eqs) == 1
         a = Polynomial.variable(QQ, 1, 0)
         assert eqs[0][1] == Polynomial.one(QQ, 1) + a
 
     def test_d2_m4_count(self):
-        eqs = fano_chart_equations(2, 4, Chart((2, 3), (0, 1)))
+        eqs = fano_chart_equations(Chart((2, 3), (0, 1)))
         assert len(eqs) == 4  # degree-3 monomials in s1, s2
         assert [mono for mono, _ in eqs] == [(0, 3), (1, 2), (2, 1), (3, 0)]
 
     def test_consistency_with_direct(self, rng):
         # a chart-form matrix satisfies every equation iff the expansion vanishes
         chart = Chart((2, 3), (0, 1))
-        eqs = fano_chart_equations(2, 4, chart)
+        eqs = fano_chart_equations(chart)
         samples = [
             [[1, 0, -1, 0], [0, 1, 0, -1]],
             [[1, 0, 1, 0], [0, 1, 0, 1]],
@@ -222,7 +223,10 @@ class TestChartEquations:
             point = tuple(
                 Fraction(rows[i][j]) for i in range(2) for j in (2, 3)
             )
-            all_zero = all(eq.eval_at(point) == 0 for _, eq in eqs)
+            all_zero = all(
+                poly_eval(eq, [Polynomial.constant(QQ, 0, c) for c in point]).is_zero()
+                for _, eq in eqs
+            )
             assert all_zero == is_member_direct(T)
 
     @pytest.mark.parametrize("d,m", [(2, 4), (2, 5), (3, 5), (3, 6)])
@@ -248,7 +252,7 @@ class TestChartEquations:
                     columns.append(col)
             expected = poly_eval(elem_sym(m - 1, m, QQ), columns)
             terms = {}
-            for s_mono, eq in fano_chart_equations(d, m, chart):
+            for s_mono, eq in fano_chart_equations(chart):
                 for a_exps, c in eq.terms.items():
                     terms[a_exps + s_mono] = c
             assert not expected.is_zero()
@@ -267,11 +271,11 @@ class TestChartEquations:
         monkeypatch.setattr(fano, "esym_almost_top", spy)
         chart = charts_covering(3, 6)[-1]
         monkeypatch.setattr(fano, "EXPANSION_BUDGET", 108)
-        fano_chart_equations(3, 6, chart)
+        fano_chart_equations(chart)
         assert sizes == [108]
         monkeypatch.setattr(fano, "EXPANSION_BUDGET", 107)
         with pytest.raises(BudgetExceeded, match="108 terms exceeds the budget of 107"):
-            fano_chart_equations(3, 6, chart)
+            fano_chart_equations(chart)
         assert sizes == [108]
 
 
@@ -366,6 +370,12 @@ class TestSampleMember:
             d = rng.randint(1, k)
             T = sample_member(classes, scalars, d, seed=rng.randint(0, 10**9))
             assert is_member_direct(T)
+
+    @pytest.mark.parametrize("sizes", [[2, 1], [1], [0, 2]])
+    def test_class_below_two_refused(self, sizes):
+        # one nonzero reciprocal never sums to zero, so drawing would not end
+        with pytest.raises(ValueError, match="at least 2"):
+            random_partition_certificate(sizes, random.Random(0))
 
 
 class TestBruteForce:

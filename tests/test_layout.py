@@ -80,3 +80,55 @@ def test_monomial_order_stays_at_the_presentation_layer():
             ):
                 users.add(path.name)
     assert users == {"cli.py", "poly.py"}
+
+
+# Public names with no caller in src/ or bench/, each kept for the tests
+TEST_ONLY = {
+    # slow oracles that the fast paths are checked against; the third,
+    # poly_eval, is not listed, as invariants and substitute_linear_forms call it
+    "elem_sym",
+    "substitute_linear_forms",
+    # chart cover and dimension counts whose values the tests check
+    "charts_covering",
+    "chart_fits",
+    "expected_dimension",
+    "stratum_dimension",
+    # reads one coefficient in the tests' assertions
+    "coefficient",
+}
+
+
+def referenced_names(path, strings):
+    """Names, attributes and imported names a file uses, and with strings
+    its string constants too."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
+def test_no_public_name_without_a_caller():
+    """Every public function, method and class of the package is used in
+    src/ (outside __init__.py, which only re-exports) or in bench/, whose
+    tracer names its hooks as strings, or is listed in TEST_ONLY.  The set
+    holds only such names, so an entry goes once its name gains a caller."""
+    sources = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    defined = set()
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if not node.name.startswith("_"):
+                    defined.add(node.name)
+    used = set().union(*(referenced_names(p, strings=False) for p in sources))
+    used |= set().union(
+        *(referenced_names(p, strings=True) for p in sorted((ROOT / "bench").glob("*.py")))
+    )
+    assert defined - used == TEST_ONLY

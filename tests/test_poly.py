@@ -8,9 +8,11 @@ from esymfano.fields import QQ, FieldError, PrimeField
 from esymfano.poly import (
     LinearForm,
     Polynomial,
+    degree_monomials,
     elem_sym,
     esym,
     esym_almost_top,
+    grlex_key,
     substitute_linear_forms,
 )
 
@@ -114,13 +116,15 @@ class TestElemSym:
             for j in range(m):
                 prod = prod * (Polynomial.one(QQ, n) - var(QQ, n, j) * t)
             total = Polynomial.zero(QQ, n)
+            t_r = Polynomial.one(QQ, n)  # t**r
             for r in range(m + 1):
                 er = elem_sym(r, m, QQ)
                 lifted = Polynomial(
                     QQ, n, {e + (0,): c for e, c in er.terms.items()}
                 )
                 sign = QQ.from_int((-1) ** r)
-                total = total + (lifted * t**r).scale(sign)
+                total = total + (lifted * t_r).scale(sign)
+                t_r = t_r * t
             assert total == prod
 
 
@@ -203,6 +207,20 @@ class TestCoefficientExtraction:
     def test_single_term(self):
         p = Polynomial(QQ, 1, {(2,): Fraction(3)})
         assert p.sorted_terms() == [((2,), Fraction(3))]
+
+
+class TestDegreeMonomials:
+    def test_no_variables(self):
+        # the empty monomial is the one monomial of degree 0 in no variables
+        assert degree_monomials(0, 0) == [()]
+        assert degree_monomials(0, 2) == []
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_grlex_filter_of_the_box(self, n):
+        for k in range(6):
+            box = itertools.product(range(k + 1), repeat=n)
+            expected = sorted((e for e in box if sum(e) == k), key=grlex_key)
+            assert degree_monomials(n, k) == expected
 
 
 class TestEsym:
@@ -298,7 +316,7 @@ class TestEsymKernel:
         # carry into y's slot
         x, y = var(field, 2, 0), var(field, 2, 1)
         one = Polynomial.one(field, 2)
-        polys = [x ** (top - 2) + y, x + one, x.scale(field.from_int(2)) - y]
+        polys = [esym(top - 2, [x] * (top - 2)) + y, x + one, x.scale(field.from_int(2)) - y]
         prod = esym(3, polys)
         assert prod.coefficient((top, 0)) == field.from_int(2)
         assert prod.coefficient((0, 2)) == field.from_int(-1)

@@ -91,7 +91,7 @@ def test_chart_equations(field, d, m):
     expected = {}
     for exps, c in expanded_terms(almost_top(columns), gens, field).items():
         expected.setdefault(exps[na:], {})[exps[:na]] = c
-    equations = fano_chart_equations(d, m, chart, field)
+    equations = fano_chart_equations(chart, field)
     assert [s_mono for s_mono, _ in equations] == degree_monomials(d, m - 1)
     assert set(expected) <= set(degree_monomials(d, m - 1))
     for s_mono, eq in equations:
