@@ -378,14 +378,14 @@ def build_parser():
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--prime", type=int, required=True)
-    p.add_argument("--budget", type=int, default=10**6)
+    p.add_argument("--budget", type=int, default=fano.ENUMERATION_BUDGET)
     p.set_defaults(func=cmd_brute)
 
     p = sub.add_parser("xcheck", help="exhaustively compare classify vs direct expansion")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--prime", type=int, required=True)
-    p.add_argument("--budget", type=int, default=10**6)
+    p.add_argument("--budget", type=int, default=fano.ENUMERATION_BUDGET)
     p.set_defaults(func=cmd_xcheck)
 
     p = sub.add_parser("invariants", help="generation check or the built-in z2-example")

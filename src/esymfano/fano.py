@@ -35,7 +35,14 @@ class BudgetExceeded(RuntimeError):
 # most isolated points enumerate_isolated builds; (2d - 1)!! passes it at d = 7
 ISOLATED_BUDGET = 10**5
 
-# most terms fano_chart_equations expands; (d, m) = (6, 13) has 2.0M, (7, 14) 6.6M
+# most subspaces enumerate_subspaces (and so brute and xcheck) visits
+ENUMERATION_BUDGET = 10**6
+
+# most terms fano_chart_equations expands, an exact count: (d, m) = (6, 13)
+# has 2.0M, (7, 14) 6.6M.  membership_expansion holds the bound on
+# m * C(m + d - 2, d - 1), its m factor steps times the count of degree-(m-1)
+# monomials in d variables.  For a random integer plane over Q that admits
+# (6, 24) at 2.36M (4 s on a 2-core host) and refuses (7, 24) at 11.4M (24 s)
 EXPANSION_BUDGET = 3 * 10**6
 
 
@@ -132,6 +139,13 @@ class MembershipVerdict:
 
 def membership_expansion(T: PlaneMatrix) -> Polynomial:
     """E_{m-1} evaluated at the column forms of T, a polynomial in d variables."""
+    d, m = T.d, T.m
+    cost = m * comb(m + d - 2, d - 1)
+    if cost > EXPANSION_BUDGET:
+        raise BudgetExceeded(
+            f"expansion of a {d} x {m} plane costs up to {cost} term steps, "
+            f"over the budget of {EXPANSION_BUDGET}"
+        )
     return esym_almost_top(T.column_forms())
 
 
@@ -152,7 +166,7 @@ def _proportionality_classes(columns, field):
     by_rep = {}
     scalars = []
     for j, col in enumerate(columns):
-        c = next((x for x in col if x != field.zero), None)
+        c = next(filter(None, col), None)
         if c is None:
             raise ValueError("zero form present")
         inv = field.inv(c)
@@ -175,7 +189,7 @@ def classify(T: PlaneMatrix) -> MembershipVerdict:
     is_member_direct is the caller's independent check."""
     field = T.field
     columns = list(zip(*T.rows))
-    zero_cols = [j for j, col in enumerate(columns) if all(x == field.zero for x in col)]
+    zero_cols = [j for j, col in enumerate(columns) if not any(col)]
     if len(zero_cols) >= 2:
         return MembershipVerdict(True, ZeroPair(zero_cols[0], zero_cols[1]))
     if zero_cols:
@@ -444,9 +458,10 @@ def gaussian_binomial(m: int, d: int, p: int) -> int:
     return num // den
 
 
-def enumerate_subspaces(d: int, m: int, field, budget: int = 10**6):
+def enumerate_subspaces(d: int, m: int, field, budget: int = ENUMERATION_BUDGET):
     """Every d-subspace of F_p^m exactly once as its RREF matrix, ordered
-    lexicographically by pivot set then by the free entries."""
+    lexicographically by pivot set then by the free entries.  The planes skip
+    PlaneMatrix's checks: d pivot columns forming the identity give rank d."""
     if not 1 <= d <= m:
         raise ValueError(f"need 1 <= d <= m, got d={d}, m={m}")
     p = field.characteristic
@@ -468,17 +483,31 @@ def enumerate_subspaces(d: int, m: int, field, budget: int = 10**6):
                 rows[i][pivots[i]] = field.one
             for (i, j), v in zip(free_positions, values):
                 rows[i][j] = v
-            yield PlaneMatrix(field, tuple(tuple(r) for r in rows))
+            T = object.__new__(PlaneMatrix)
+            object.__setattr__(T, "field", field)
+            object.__setattr__(T, "rows", tuple(map(tuple, rows)))
+            yield T
 
 
-def brute_force_members(d: int, m: int, field, budget: int = 10**6):
+def _planes_with_direct(d, m, field, budget):
+    """(T, is_member_direct(T)) for every enumerated plane.  E_{m-1} is
+    symmetric, so the verdict depends only on the multiset of T's columns;
+    each multiset is expanded once per enumeration."""
+    direct_by_columns = {}
+    for T in enumerate_subspaces(d, m, field, budget):
+        key = tuple(sorted(zip(*T.rows)))
+        direct = direct_by_columns.get(key)
+        if direct is None:
+            direct = direct_by_columns[key] = is_member_direct(T)
+        yield T, direct
+
+
+def brute_force_members(d: int, m: int, field, budget: int = ENUMERATION_BUDGET):
     """Exhaustive membership filter over a prime field."""
-    return [
-        T for T in enumerate_subspaces(d, m, field, budget) if is_member_direct(T)
-    ]
+    return [T for T, direct in _planes_with_direct(d, m, field, budget) if direct]
 
 
-def cross_check(d: int, m: int, field, budget: int = 10**6):
+def cross_check(d: int, m: int, field, budget: int = ENUMERATION_BUDGET):
     """Assert classify == direct expansion on every subspace; report stats."""
     total = 0
     members = 0
@@ -486,9 +515,8 @@ def cross_check(d: int, m: int, field, budget: int = 10**6):
     examples = []  # the rows of the first five mismatching planes
     cert_hist = {"zero_pair": 0, "partition": 0}
     class_count_hist = {}
-    for T in enumerate_subspaces(d, m, field, budget):
+    for T, direct in _planes_with_direct(d, m, field, budget):
         total += 1
-        direct = is_member_direct(T)
         verdict = classify(T)
         if verdict.member != direct:
             mismatches += 1

@@ -470,6 +470,24 @@ class TestOtherCommands:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_classify_expansion_budget_exit_2(self, capsys, tmp_path, monkeypatch):
+        # a 7 x 24 plane costs 24 * C(29, 6) = 11,400,480 term steps, past
+        # the budget of 3 * 10**6, and is refused before the expansion starts
+        def refuse(polys):
+            raise AssertionError("plane expanded past the budget")
+
+        monkeypatch.setattr(fano, "esym_almost_top", refuse)
+        rows = [
+            [int(i == j) if j < 7 else (i * j + 1) % 5 for j in range(24)]
+            for i in range(7)
+        ]
+        doc = tmp_path / "m.txt"
+        doc.write_text("F5\n" + "".join(" ".join(map(str, r)) + "\n" for r in rows))
+        code, out, err = run(capsys, ["classify", str(doc)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_xcheck(self, capsys):
         code, out, _ = run(
             capsys, ["--json", "xcheck", "--d", "2", "--m", "4", "--prime", "3"]

@@ -1,9 +1,10 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from esymfano import fano
+from esymfano import fano, linalg
 from esymfano.fano import (
     BudgetExceeded,
     Chart,
@@ -130,6 +131,42 @@ class TestClassify:
         assert not classify(plane([[1, 0, -1, 0], [0, 1, 0, 0]])).member
         verdicts = [classify(T) for T in enumerate_subspaces(2, 4, PrimeField(3))]
         assert len(verdicts) == gaussian_binomial(4, 2, 3)
+
+
+def wide_plane(d, m):
+    """A d x m plane [I_d | B] over Q: full rank, with a nonzero block B."""
+    return plane([[int(i == j) if j < d else (i * j + 1) % 5 for j in range(m)] for i in range(d)])
+
+
+class TestExpansionBudget:
+    def test_bound_is_exact(self, monkeypatch):
+        # a 2 x 4 plane costs 4 * C(4, 1) = 16 term steps
+        T = plane(MATCHING_PLANE)
+        monkeypatch.setattr(fano, "EXPANSION_BUDGET", 16)
+        assert is_member_direct(T)
+        monkeypatch.setattr(fano, "EXPANSION_BUDGET", 15)
+        with pytest.raises(BudgetExceeded, match="16 term steps, over the budget of 15"):
+            is_member_direct(T)
+
+    @pytest.mark.parametrize("d,admitted", [(6, True), (7, False)])
+    def test_m_24(self, monkeypatch, d, admitted):
+        # (6, 24) costs 24 * C(28, 5) = 2,358,720 and is expanded; (7, 24)
+        # costs 24 * C(29, 6) = 11,400,480 and is refused before any product
+        expanded = []
+
+        def stub(forms):
+            expanded.append(len(forms))
+            return Polynomial(QQ, d)
+
+        monkeypatch.setattr(fano, "esym_almost_top", stub)
+        T = wide_plane(d, 24)
+        if admitted:
+            assert is_member_direct(T)
+            assert expanded == [24]
+        else:
+            with pytest.raises(BudgetExceeded, match="11400480 term steps"):
+                is_member_direct(T)
+            assert expanded == []
 
 
 class TestVerifyCertificate:
@@ -394,6 +431,26 @@ class TestBruteForce:
         with pytest.raises(BudgetExceeded):
             list(enumerate_subspaces(4, 9, PrimeField(5), budget=10**6))
 
+    def test_enumeration_never_re_reduces(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("enumeration re-reduced an RREF matrix")
+
+        f3 = PrimeField(3)
+        with monkeypatch.context() as patch:
+            patch.setattr(fano, "rank", refuse)
+            patch.setattr(linalg, "rref", refuse)
+            planes = list(enumerate_subspaces(2, 5, f3))
+        assert len(planes) == gaussian_binomial(5, 2, 3)
+        # the public constructor checks every plane again, and agrees
+        assert all(T == PlaneMatrix(f3, T.rows) for T in planes)
+
+    @pytest.mark.parametrize("d,m,p", [(2, 5, 3), (3, 5, 2)])
+    def test_members_are_the_direct_filter(self, d, m, p):
+        field = PrimeField(p)
+        expected = [T for T in enumerate_subspaces(d, m, field) if is_member_direct(T)]
+        assert expected
+        assert brute_force_members(d, m, field) == expected
+
     def test_enumeration_unique_rref(self):
         f2 = PrimeField(2)
         seen = set()
@@ -422,6 +479,23 @@ class TestCrossCheck:
         r = cross_check(1, 3, PrimeField(5))
         assert r["total"] == 31
         assert r["mismatches"] == 0
+
+    def test_one_expansion_per_column_multiset(self, monkeypatch):
+        expanded = []
+        original = fano.membership_expansion
+
+        def counted(T):
+            expanded.append(frozenset(Counter(zip(*T.rows)).items()))
+            return original(T)
+
+        monkeypatch.setattr(fano, "membership_expansion", counted)
+        f3 = PrimeField(3)
+        # 11,011 planes share 495 column multisets; a second call pays again
+        assert cross_check(2, 6, f3)["total"] == 11011
+        assert len(expanded) == len(set(expanded)) == 495
+        assert cross_check(2, 6, f3)["mismatches"] == 0
+        assert len(expanded) == 990
+        assert set(expanded[:495]) == set(expanded[495:])
 
     def test_certificate_soundness(self):
         f3 = PrimeField(3)
