@@ -33,6 +33,7 @@ from .fano import (
 from .invariants import (
     ClosureBudgetExceeded,
     GroupAction,
+    SpanBudgetExceeded,
     close_group,
     generation_check,
     invariant_dim,

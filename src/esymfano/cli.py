@@ -14,6 +14,8 @@ closed before the report was written (128 + SIGPIPE, as in a shell).
 from __future__ import annotations
 
 import argparse
+import copy
+import functools
 import json
 import os
 import sys
@@ -352,6 +354,14 @@ def cmd_reciprocals(args):
 
 
 def build_parser():
+    """A parser of its own for each caller, so that an attribute set on one
+    (a wrapped parse_args, say) reaches no other.  The argument tree under
+    it is built once and shared, and no caller adds to it."""
+    return copy.copy(_parser_tree())
+
+
+@functools.cache
+def _parser_tree():
     parser = argparse.ArgumentParser(
         prog="esymfano",
         description="Planes on the almost-top elementary symmetric hypersurface, "
@@ -405,7 +415,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         report, status = args.func(args)
-    except (ValueError, fano.BudgetExceeded, invariants.ClosureBudgetExceeded) as e:
+    except (
+        ValueError,
+        fano.BudgetExceeded,
+        invariants.ClosureBudgetExceeded,
+        invariants.SpanBudgetExceeded,
+    ) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     try:

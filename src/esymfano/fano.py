@@ -42,7 +42,11 @@ ENUMERATION_BUDGET = 10**6
 # has 2.0M, (7, 14) 6.6M.  membership_expansion holds the bound on
 # m * C(m + d - 2, d - 1), its m factor steps times the count of degree-(m-1)
 # monomials in d variables.  For a random integer plane over Q that admits
-# (6, 24) at 2.36M (4 s on a 2-core host) and refuses (7, 24) at 11.4M (24 s)
+# (6, 24) at 2.36M (4 s on a 2-core host) and refuses (7, 24) at 11.4M (24 s).
+# The ceiling is intended: (6, 13), 2.0M chart terms and 23 s of expansion on
+# the same host, is the largest chart equations job admitted, and one bound
+# serves both callers, so a value low enough to refuse it would refuse the
+# (6, 24) membership expansions too
 EXPANSION_BUDGET = 3 * 10**6
 
 

@@ -14,9 +14,12 @@ builds such sets; close_group's result is proved a group once, by _close.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
+from math import comb, lcm
+from operator import mul
 
-from .fields import QQ, FieldError
+from .fields import QQ, FieldError, PrimeField
 from .linalg import identity, is_invertible, mat_mul, rank
 from .poly import (
     LinearForm,
@@ -32,7 +35,19 @@ class ClosureBudgetExceeded(RuntimeError):
     pass
 
 
+class SpanBudgetExceeded(RuntimeError):
+    pass
+
+
 CLOSURE_BUDGET = 10**4  # most elements close_group lists before refusing
+
+# most coefficient cells generation_check ranks before refusing (see
+# _check_span_budget).  S_4 from the seed x_1 over Q, on a 2-core host: 95k
+# cells at degree 14 (0.85 s), 395k at 18 (4.6 s), 1.29M at 22 (20 s)
+SPAN_BUDGET = 5 * 10**5
+
+# the prime modulo which the subalgebra ranks over Q are certified
+CERTIFICATE_PRIME = 2**31 - 1
 
 
 def _close(reached, gens, new, field, admit):
@@ -220,6 +235,88 @@ def _invariant_dims(group: GroupAction, D: int):
     return [1] + [_span_dim(list(dict.fromkeys(total.values())), field) for total in sums]
 
 
+def _molien_exact(field, n: int, D: int) -> bool:
+    """Whether _molien_dims gives the dimensions up to degree D: always over
+    Q; over F_p when every count C(n + k - 1, k) of degree-k monomials,
+    k <= D, is below p.  The counts never fall as k grows, and
+    C(n + D - 1, D) >= n once D >= 1, so every k <= min(n, D) that the
+    Faddeev-LeVerrier steps divide by is below p."""
+    p = field.characteristic
+    return p == 0 or D < 1 or comb(n + D - 1, D) < p
+
+
+def _det_coeffs(h, K: int, p: int):
+    """c_0..c_K of det(I - t h) = sum_k c_k t^k for a square matrix h of
+    ints, by Faddeev-LeVerrier: B_1 = h, c_k = -tr(B_k) / k and
+    B_(k+1) = h (B_k + c_k I).  Over Z (p = 0) every division is exact;
+    modulo a prime p > K it multiplies by the inverse of k."""
+    n = len(h)
+    b = [list(row) for row in h]
+    coeffs = [1]
+    for k in range(1, K + 1):
+        trace = sum(b[i][i] for i in range(n))
+        if p:
+            c = -trace * pow(k, -1, p) % p
+        else:
+            c, rem = divmod(-trace, k)
+            if rem:
+                raise ArithmeticError(f"Faddeev-LeVerrier trace {trace} not divisible by {k}")
+        coeffs.append(c)
+        if k < K:
+            for i in range(n):
+                b[i][i] += c
+            cols = list(zip(*b))
+            b = [[sum(map(mul, row, col)) for col in cols] for row in h]
+            if p:
+                b = [[x % p for x in row] for row in b]
+    return tuple(coeffs)
+
+
+def _molien_dims(group: GroupAction, D: int):
+    """dim R^G_k for k = 0..D from Molien's series (1/|G|) sum_g
+    1/det(I - t g), or None where _molien_exact says it may be wrong.
+
+    Over Q each element is scaled to the integer matrix h = L g, L the lcm
+    of all entry denominators, so c_k(g) = c_k(h) / L^k and the t^k
+    coefficient of 1/det(I - t g) is that of 1/det(I - t h) over L^k.
+    Over F_p, p > |G| makes the Reynolds operator on the degree-k forms
+    idempotent, so its trace, the t^k coefficient, is its rank mod p; the
+    rank is at most C(n + k - 1, k) < p, so the residue is the rank.  Only
+    c_1..c_min(n, D) matter to degree D, and only they are formed.
+    """
+    field, n, order = group.field, group.dimension, group.order
+    if not _molien_exact(field, n, D):
+        return None
+    p = field.characteristic
+    if p:
+        scale, mats = 1, group.elements
+    else:
+        scale = lcm(*(x.denominator for g in group.elements for row in g for x in row))
+        mats = [
+            [[x.numerator * (scale // x.denominator) for x in row] for row in g]
+            for g in group.elements
+        ]
+    K = min(n, D)
+    totals = [0] * (D + 1)
+    for c, count in Counter(_det_coeffs(h, K, p) for h in mats).items():
+        # 1/det(I - t h) as a power series: s_k = -sum_i c_i s_(k - i)
+        series = [1]
+        for k in range(1, D + 1):
+            s = -sum(c[i] * series[k - i] for i in range(1, min(k, K) + 1))
+            series.append(s % p if p else s)
+        totals = [t + count * s for t, s in zip(totals, series)]
+    if p:
+        inv = pow(order, -1, p)
+        return [t * inv % p for t in totals]
+    dims = []
+    for k, t in enumerate(totals):
+        dim, rem = divmod(t, order * scale**k)
+        if rem:
+            raise ArithmeticError(f"Molien coefficient of degree {k} is not an integer")
+        dims.append(dim)
+    return dims
+
+
 def invariant_dim(group: GroupAction, degree: int) -> int:
     """Dimension of the degree-D invariants: rank of the averaging projector
     on the monomial basis."""
@@ -270,16 +367,73 @@ def orbit_chern_generators(group: GroupAction, seed_forms):
     return [g for g in gens if not g.is_zero()]
 
 
+def _check_span_budget(n: int, degrees, D: int, reynolds: bool):
+    """Refuse before any span is formed when the spans generation_check
+    ranks hold more than SPAN_BUDGET coefficient cells.  Degree k ranks one
+    row of C(n + k - 1, k) cells per generator multiset of degree k, and
+    one more row per degree-k monomial when the Reynolds images give the
+    invariant dimensions, or one for the Molien coefficient otherwise.
+    A[k][i], the number of multisets of degree k from generators 0..i, is
+    A[k][i - 1] + A[k - d_i][i]; counting stops once past the budget."""
+    multisets = []  # A[k] per degree k
+    cells = 0
+    monomials = 1  # C(n + k - 1, k)
+    for k in range(D + 1):
+        below = int(k == 0)
+        row = []
+        for i, deg in enumerate(degrees):
+            if deg <= k:
+                below += multisets[k - deg][i]
+            row.append(below)
+        multisets.append(row)
+        cells += monomials * (below + (monomials if reynolds else 1))
+        if cells > SPAN_BUDGET:
+            raise SpanBudgetExceeded(
+                f"generation check to degree {D} ranks more than {SPAN_BUDGET} "
+                "coefficient cells; lower the degree bound"
+            )
+        monomials = monomials * (n + k) // (k + 1)
+
+
+def _certified_subalgebra_dims(gens, inv_dims, D: int):
+    """subalgebra_graded_dims over Q, from the generators scaled to integers
+    and reduced modulo CERTIFICATE_PRIME where that proves the answer.
+
+    The rank modulo a prime of an integer matrix is at most its rank over
+    Q, and the subalgebra lies in the invariants, so modular ranks equal to
+    inv_dims in every degree are the subalgebra dimensions.  Any shortfall,
+    a subalgebra that is not all of the invariants or an unlucky prime,
+    takes the exact route over Q in every degree."""
+    fp = PrimeField(CERTIFICATE_PRIME)
+    reduced = []
+    for g in gens:
+        scale = lcm(*(c.denominator for c in g.terms.values()))
+        terms = {
+            e: c.numerator * (scale // c.denominator) % CERTIFICATE_PRIME
+            for e, c in g.terms.items()
+        }
+        reduced.append(Polynomial(fp, g.nvars, terms))
+    dims = subalgebra_graded_dims(reduced, D)
+    if dims == inv_dims:
+        return dims
+    return subalgebra_graded_dims(gens, D)
+
+
 def generation_check(group: GroupAction, seed_forms, D: int):
     """Compare, degree by degree, the span of products of the orbit-derived
     generators against the full space of invariants."""
     group.require_large_characteristic()
     gens = orbit_chern_generators(group, seed_forms)
-    if gens:
+    field = group.field
+    molien = _molien_exact(field, group.dimension, D)
+    _check_span_budget(group.dimension, [g.degree() for g in gens], D, not molien)
+    inv_dims = _molien_dims(group, D) if molien else _invariant_dims(group, D)
+    if not gens:
+        sub_dims = [1] + [0] * D
+    elif field.characteristic:
         sub_dims = subalgebra_graded_dims(gens, D)
     else:
-        sub_dims = [1] + [0] * D
-    inv_dims = _invariant_dims(group, D)
+        sub_dims = _certified_subalgebra_dims(gens, inv_dims, D)
     per_degree = []
     for k in range(D + 1):
         per_degree.append(

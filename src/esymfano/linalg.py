@@ -63,17 +63,18 @@ def nullspace(rows, field):
 
 
 def mat_mul(a, b, field):
-    n, k = len(a), len(b)
-    m = len(b[0]) if b else 0
+    """a . b.  Row i of the product is sum_t a[i][t] * (row t of b), skipping
+    the zero entries of a, so a signed permutation times any matrix costs
+    n^2 field operations, not n^3."""
+    zero, add, mul = field.zero, field.add, field.mul
+    width = len(b[0]) if b else 0
     out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            s = field.zero
-            for t in range(k):
-                s = field.add(s, field.mul(a[i][t], b[t][j]))
-            row.append(s)
-        out.append(tuple(row))
+    for row_a in a:
+        acc = [zero] * width
+        for x, row_b in zip(row_a, b):
+            if x != zero:
+                acc = [add(s, mul(x, y)) for s, y in zip(acc, row_b)]
+        out.append(tuple(acc))
     return tuple(out)
 
 

@@ -7,7 +7,7 @@ import pytest
 
 import esymfano
 from esymfano import fano, invariants
-from esymfano.cli import EXIT_PIPE, main, parse_matrix_document, InputError
+from esymfano.cli import EXIT_PIPE, build_parser, main, parse_matrix_document, InputError
 from esymfano.poly import default_names, format_monomial, grlex_key
 
 MATCHING_DOC = "Q\n1 0 -1 0\n0 1 0 -1\n"
@@ -622,6 +622,26 @@ class TestOtherCommands:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_invariants_span_budget_exit_2(self, capsys, tmp_path, monkeypatch):
+        """S_4 to degree 30 ranks 8.5M cells: refused before any span."""
+        def refuse(*args):
+            raise AssertionError("span formed before the budget was checked")
+
+        for name in ("subalgebra_graded_dims", "_invariant_dims", "_molien_dims"):
+            monkeypatch.setattr(invariants, name, refuse)
+        path = tmp_path / "s4.json"
+        path.write_text(json.dumps({
+            "generators": [
+                [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+                [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]],
+            ],
+            "seeds": [[1, 0, 0, 0]],
+        }))
+        code, out, err = run(capsys, ["invariants", str(path), "--degree", "30"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("degree", ["-1", "3"])
     def test_invariants_builtin_degree_exit_2(self, capsys, degree):
         code, out, err = run(capsys, ["invariants", "z2-example", "--degree", degree])
@@ -651,6 +671,20 @@ class TestOtherCommands:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestParser:
+    def test_each_caller_gets_its_own_parser(self):
+        first, second = build_parser(), build_parser()
+        assert first is not second
+        first.marker = True
+        assert not hasattr(build_parser(), "marker")
+
+    def test_json_does_not_leak_into_the_next_call(self, capsys):
+        _, out1, _ = run(capsys, ["--json", "isolated", "--d", "1"])
+        _, out2, _ = run(capsys, ["isolated", "--d", "1"])
+        assert json.loads(out1)["count"] == 1
+        assert out2.startswith("command: isolated\n")
 
 
 class TestReportDeterminism:

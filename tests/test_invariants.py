@@ -1,13 +1,18 @@
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, combinations_with_replacement, permutations
+from math import comb
 
 import pytest
 
 from esymfano import invariants
 from esymfano.fields import QQ, FieldError, PrimeField
 from esymfano.invariants import (
+    CERTIFICATE_PRIME,
     GroupAction,
+    SpanBudgetExceeded,
+    _check_span_budget,
     _invariant_dims,
+    _molien_dims,
     _span_dim,
     close_group,
     generation_check,
@@ -53,11 +58,19 @@ GENERATORS = {
     "trivial": [[[1, 0], [0, 1]]],
 }
 F7 = PrimeField(7)
+F101 = PrimeField(101)
+S4_GENERATORS = [
+    [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+    [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]],
+]
+
+
+def group_over_generators(gens, field):
+    return close_group([[[field.from_int(x) for x in row] for row in m] for m in gens], field)
 
 
 def group_over(name, field):
-    gens = [[[field.from_int(x) for x in row] for row in g] for g in GENERATORS[name]]
-    return close_group(gens, field)
+    return group_over_generators(GENERATORS[name], field)
 
 
 def lf(*coeffs):
@@ -293,6 +306,175 @@ class TestInvariantDim:
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError):
             invariant_dim(sign_group(), -1)
+
+
+class TestMolienDims:
+    """_molien_dims, the fast path of generation_check, against the Reynolds
+    ranks of _invariant_dims."""
+
+    @pytest.mark.parametrize(
+        "name,field",
+        [pytest.param(name, field, id=f"{name}-{field}")
+         for name in sorted(GENERATORS) for field in (QQ, F7, F101)
+         if not (name == "b2" and field == F7)],  # |B_2| = 8 > 7
+    )
+    def test_matches_reynolds_ranks(self, name, field):
+        """Every degree bound up to 6 that the guard admits; over Q it admits
+        them all, over F_p exactly those with C(n + D - 1, D) < p."""
+        g = group_over(name, field)
+        n, p = g.dimension, field.characteristic
+        reynolds_dims = _invariant_dims(g, 6)
+        for D in range(7):
+            dims = _molien_dims(g, D)
+            if p and comb(n + D - 1, D) >= p:
+                assert dims is None
+            else:
+                assert dims == reynolds_dims[: D + 1]
+
+    def test_guard_boundary_s4_f29(self):
+        """C(6, 3) = 20 < 29 admits degree 3; C(7, 4) = 35 does not admit 4,
+        and generation_check then takes the Reynolds ranks."""
+        f29 = PrimeField(29)
+        g = group_over_generators(S4_GENERATORS, f29)
+        assert _molien_dims(g, 3) == _invariant_dims(g, 3)
+        assert _molien_dims(g, 4) is None
+        out = generation_check(g, [LinearForm(f29, (1, 0, 0, 0))], 4)
+        assert [row["invariant_dim"] for row in out["per_degree"]] == _invariant_dims(g, 4)
+        assert out["generated"]
+
+    def test_degree_0_inverts_no_multiple_of_p(self):
+        """Seven variables over F_7: degree 0 needs no Faddeev-LeVerrier step,
+        so nothing divides by 7; degree 1 counts 7 monomials and is refused."""
+        g = close_group([identity(7, F7)], F7)
+        assert _molien_dims(g, 0) == [1]
+        assert _molien_dims(g, 1) is None
+        seed = LinearForm(F7, (1,) + (0,) * 6)
+        assert generation_check(g, [seed], 0)["per_degree"] == [
+            {"degree": 0, "invariant_dim": 1, "subalgebra_dim": 1, "equal": True}
+        ]
+
+    def test_non_integer_matrices(self):
+        """[[1/2, 3/2], [1/2, -1/2]] squares to I; its Molien terms carry
+        powers of the denominator lcm 2."""
+        g = close_group([qm([[Fraction(1, 2), Fraction(3, 2)], [Fraction(1, 2), Fraction(-1, 2)]])], QQ)
+        assert g.order == 2
+        assert _molien_dims(g, 6) == _invariant_dims(g, 6) == molien_series(g, 6)
+
+
+class SubalgebraSpy:
+    """Records the field of every subalgebra_graded_dims call."""
+
+    def __init__(self, monkeypatch):
+        self.fields = []
+        original = invariants.subalgebra_graded_dims
+
+        def spy(gens, D):
+            self.fields.append(gens[0].field)
+            return original(gens, D)
+
+        monkeypatch.setattr(invariants, "subalgebra_graded_dims", spy)
+
+
+class TestCertifiedSubalgebraDims:
+    P = PrimeField(CERTIFICATE_PRIME)
+
+    def test_certificate_alone_when_generated(self, monkeypatch):
+        spy = SubalgebraSpy(monkeypatch)
+        out = generation_check(s3_group(), [lf(1, 0, 0)], 6)
+        assert out["generated"]
+        assert spy.fields == [self.P]
+
+    def test_unlucky_prime_takes_the_exact_route(self, monkeypatch):
+        """x and x + P y span the linear forms over Q but agree modulo P, so
+        the modular ranks fall short and the ranks over Q decide."""
+        trivial = group_over("trivial", QQ)
+        seeds = [lf(1, 0), lf(1, CERTIFICATE_PRIME)]
+        spy = SubalgebraSpy(monkeypatch)
+        out = generation_check(trivial, seeds, 4)
+        assert spy.fields == [self.P, QQ]
+        exact = subalgebra_graded_dims([s.to_polynomial() for s in seeds], 4)
+        assert exact == [1, 2, 3, 4, 5]
+        assert [row["subalgebra_dim"] for row in out["per_degree"]] == exact
+        assert out["generated"]
+
+    def test_not_generated_through_the_exact_route(self, monkeypatch):
+        """The sign group from the seed x: only x^2 is generated, while every
+        even degree k has k + 1 invariants."""
+        spy = SubalgebraSpy(monkeypatch)
+        out = generation_check(sign_group(), [lf(1, 0)], 4)
+        assert spy.fields == [self.P, QQ]
+        assert not out["generated"]
+        assert [row["invariant_dim"] for row in out["per_degree"]] == [1, 0, 3, 0, 5]
+        assert [row["subalgebra_dim"] for row in out["per_degree"]] == [1, 0, 1, 0, 1]
+
+    def test_fractional_generators_are_scaled(self, monkeypatch):
+        """Seeds with denominators: the certificate still proves generation."""
+        spy = SubalgebraSpy(monkeypatch)
+        out = generation_check(swap_group(), [lf(Fraction(1, 3), Fraction(2, 5))], 5)
+        assert out["generated"]
+        assert spy.fields == [self.P]
+
+
+    def test_proportional_seeds_with_denominators(self, monkeypatch):
+        """x + 2y and x/2 + y span one line: reducing each generator without
+        its denominator lcm would turn them into x + 2y and x + y, and
+        certify a generation that does not hold."""
+        spy = SubalgebraSpy(monkeypatch)
+        out = generation_check(group_over("trivial", QQ), [lf(1, 2), lf(Fraction(1, 2), 1)], 2)
+        assert spy.fields == [self.P, QQ]
+        assert not out["generated"]
+        assert [row["subalgebra_dim"] for row in out["per_degree"]] == [1, 1, 1]
+
+
+class TestSpanBudget:
+    @staticmethod
+    def cells(n, degrees, D, reynolds):
+        """The count by brute force: multisets of generator indices listed
+        degree by degree."""
+        total = 0
+        for k in range(D + 1):
+            multisets = sum(
+                sum(degrees[i] for i in ms) == k
+                for size in range(k + 1)
+                for ms in combinations_with_replacement(range(len(degrees)), size)
+            )
+            monomials = comb(n + k - 1, k)
+            total += monomials * (multisets + (monomials if reynolds else 1))
+        return total
+
+    @pytest.mark.parametrize("reynolds", [False, True])
+    @pytest.mark.parametrize("n,degrees,D", [(2, [1, 2], 3), (3, [2, 2, 3], 5), (4, [], 2)])
+    def test_bound_is_exact(self, monkeypatch, n, degrees, D, reynolds):
+        cells = self.cells(n, degrees, D, reynolds)
+        monkeypatch.setattr(invariants, "SPAN_BUDGET", cells)
+        _check_span_budget(n, degrees, D, reynolds)
+        monkeypatch.setattr(invariants, "SPAN_BUDGET", cells - 1)
+        with pytest.raises(SpanBudgetExceeded):
+            _check_span_budget(n, degrees, D, reynolds)
+
+    def test_admits_s4_to_degree_18(self):
+        """S_4 from x_1 has generators of degrees 1..4: 402k cells at degree
+        18 are admitted, 548k at degree 19 are not."""
+        _check_span_budget(4, [1, 2, 3, 4], 18, False)
+        with pytest.raises(SpanBudgetExceeded):
+            _check_span_budget(4, [1, 2, 3, 4], 19, False)
+
+    def test_admits_b4_at_degree_8(self):
+        g = group_over_generators(
+            S4_GENERATORS + [[[-1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]], QQ
+        )
+        gens = invariants.orbit_chern_generators(g, [lf(1, 0, 0, 0), lf(1, 1, 0, 0)])
+        _check_span_budget(4, [p.degree() for p in gens], 8, False)
+
+    def test_refused_before_any_span(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("span formed before the budget was checked")
+
+        for name in ("subalgebra_graded_dims", "_invariant_dims", "_molien_dims"):
+            monkeypatch.setattr(invariants, name, refuse)
+        g = group_over_generators(S4_GENERATORS, QQ)
+        with pytest.raises(SpanBudgetExceeded):
+            generation_check(g, [lf(1, 0, 0, 0)], 30)
 
 
 def determinant(m):

@@ -65,6 +65,28 @@ def test_bench_tracer_hooks_exist_and_are_restored():
     assert [dict(vars(owner)) for owner in owners] == before
 
 
+def test_bench_tracer_wraps_each_parser_once(capsys):
+    """The parser tree is built once, yet every parser build_parser returns
+    is the tracer's own: each main call times one build and one parse_args,
+    wrappers never stack, and none is left after uninstall."""
+    from esymfano import cli
+
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        for _ in range(3):
+            cli.main(["isolated", "--d", "1"])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert tracer.calls["cli.parse"] == 6
+    assert "parse_args" not in vars(cli.build_parser())
+    assert "parse_args" not in vars(cli._parser_tree())
+
+
 def test_monomial_order_stays_at_the_presentation_layer():
     """The graded-lex order decides how terms are printed and which witness
     is shown; spans, ranks and nullspaces must not depend on it, so only

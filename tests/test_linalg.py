@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from esymfano.fields import QQ, PrimeField
 from esymfano.linalg import is_invertible, mat_mul, nullspace, rank, rref
 
@@ -37,6 +39,48 @@ def test_mat_mul():
     a = qm([[1, 2], [3, 4]])
     b = qm([[0, 1], [1, 0]])
     assert mat_mul(a, b, QQ) == qm([[2, 1], [4, 3]])
+
+
+def triple_loop(a, b, field):
+    """(a b)_ij = sum_t a_it b_tj, every term formed: the oracle for mat_mul."""
+    out = []
+    for row in a:
+        cells = []
+        for j in range(len(b[0])):
+            s = field.zero
+            for t in range(len(b)):
+                s = field.add(s, field.mul(row[t], b[t][j]))
+            cells.append(s)
+        out.append(tuple(cells))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
+def test_mat_mul_matches_triple_loop(field, rng):
+    """Sparse rows against every term: a row vector times a square matrix (as
+    orbit_of_form multiplies), square products with rows of zeros, and
+    signed permutations."""
+    def entry():
+        if rng.random() < 0.4:
+            return field.zero
+        if field is QQ:
+            return Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+        return field.from_int(rng.randint(1, 6))
+
+    for n in range(1, 5):
+        for _ in range(20):
+            b = tuple(tuple(entry() for _ in range(n)) for _ in range(n))
+            a = [tuple(entry() for _ in range(n)) for _ in range(n)]
+            a[rng.randrange(n)] = (field.zero,) * n
+            perm = rng.sample(range(n), n)
+            signed = tuple(
+                tuple(field.from_int(rng.choice((1, -1))) if perm[i] == j else field.zero
+                      for j in range(n))
+                for i in range(n)
+            )
+            for left in ((a[0],), tuple(a), signed):
+                assert mat_mul(left, b, field) == triple_loop(left, b, field)
+            assert mat_mul(b, signed, field) == triple_loop(b, signed, field)
 
 
 def test_nullspace_dimension():
