@@ -11,13 +11,11 @@ from .poly import (
 )
 from .fano import (
     BudgetExceeded,
-    Chart,
     MembershipVerdict,
     PartitionCertificate,
     PlaneMatrix,
     ZeroPair,
     brute_force_members,
-    charts_covering,
     classify,
     cross_check,
     enumerate_isolated,

@@ -172,30 +172,15 @@ def cmd_classify(args):
 
 def cmd_equations(args):
     d, m = args.d, args.m
-    if not 1 <= d < m:
-        raise InputError(f"need 1 <= d < m, got d={d}, m={m}")
-    if args.avoid:
-        try:
-            avoided = tuple(sorted(int(t) - 1 for t in args.avoid.split(",")))
-        except ValueError:
-            raise InputError(f"bad --avoid list {args.avoid!r}") from None
-        if len(avoided) != m - d or any(not 0 <= j < m for j in avoided):
-            raise InputError("--avoid must list m-d distinct column indices in 1..m")
-        if len(set(avoided)) != len(avoided):
-            raise InputError("--avoid indices must be distinct")
-    else:
-        avoided = tuple(range(d, m))
-    pivots = tuple(j for j in range(m) if j not in avoided)
-    chart = fano.Chart(avoided, pivots)
-    equations = fano.fano_chart_equations(chart)
+    equations = fano.fano_chart_equations(d, m)
     a_names = [f"a{i+1}_{k+1}" for i in range(d) for k in range(m - d)]
     s_names = default_names(d, "s")
     report = {
         "command": "equations",
         "d": d,
         "m": m,
-        "avoided_columns": [j + 1 for j in avoided],
-        "identity_columns": [j + 1 for j in pivots],
+        "avoided_columns": list(range(d + 1, m + 1)),
+        "identity_columns": list(range(1, d + 1)),
         "unknowns": a_names,
         "equation_count": len(equations),
         "equations": [
@@ -377,7 +362,6 @@ def _parser_tree():
     p = sub.add_parser("equations", help="chart defining equations of the Fano scheme")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--avoid", help="comma-separated avoided columns (1-based)")
     p.set_defaults(func=cmd_equations)
 
     p = sub.add_parser("isolated", help="enumerate the isolated points for m = 2d")

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import comb
 
 from .fields import QQ, FieldError
-from .linalg import is_invertible, mat_mul, nullspace, rank
+from .linalg import mat_mul, nullspace, rank
 from .poly import (
     LinearForm,
     Polynomial,
@@ -85,22 +85,6 @@ class PlaneMatrix:
     def column_forms(self):
         """The m linear forms in d variables given by the columns of T."""
         return [LinearForm(self.field, col) for col in zip(*self.rows)]
-
-
-@dataclass(frozen=True)
-class Chart:
-    """Grassmannian chart: S = avoided coordinate indices, complement = pivots."""
-
-    avoided: tuple  # 0-based column indices, size m - d
-    pivots: tuple  # 0-based complement in increasing order, size d
-
-    @property
-    def m(self):
-        return len(self.avoided) + len(self.pivots)
-
-    @property
-    def d(self):
-        return len(self.pivots)
 
 
 @dataclass(frozen=True)
@@ -254,42 +238,29 @@ def verify_certificate(T: PlaneMatrix, cert) -> bool:
     return False
 
 
-# -- charts and defining equations ----------------------------------------
+# -- chart defining equations -------------------------------------------
 
 
-def charts_covering(d: int, m: int):
-    """All C(m, m-d) coordinate charts; every rank-d matrix fits in one."""
-    if not 1 <= d <= m:
-        raise ValueError(f"need 1 <= d <= m, got d={d}, m={m}")
-    charts = []
-    for avoided in itertools.combinations(range(m), m - d):
-        pivots = tuple(j for j in range(m) if j not in avoided)
-        charts.append(Chart(avoided, pivots))
-    return charts
+def fano_chart_equations(d: int, m: int, field=QQ):
+    """Defining equations of the Fano scheme on the standard chart.
 
-
-def chart_fits(T: PlaneMatrix, chart: Chart) -> bool:
-    sub = [[T.rows[i][j] for j in chart.pivots] for i in range(T.d)]
-    return is_invertible(sub, T.field)
-
-
-def fano_chart_equations(chart: Chart, field=QQ):
-    """Defining equations of the Fano scheme on one chart.
-
-    The chart matrix has identity columns at the pivot positions and unknown
-    columns a_{i,j} at the avoided positions.  Returns one polynomial in the
-    d*(m-d) unknowns per degree-(m-1) monomial in the s variables (graded-lex
-    monomial order), C(m-2+d, d-1) equations in all.
+    The chart matrix has the identity in columns 1..d and unknown columns
+    a_{i,k} in columns d+1..m.  E_{m-1} is symmetric in the columns, so every
+    other coordinate chart gives the same equations up to renaming the
+    unknowns.  Returns one polynomial in the d*(m-d) unknowns per
+    degree-(m-1) monomial in the s variables (graded-lex monomial order),
+    C(m-2+d, d-1) equations in all.
     """
-    d, m = chart.d, chart.m
     if not 1 <= d < m:
         raise ValueError(f"need 1 <= d < m, got d={d}, m={m}")
     # E_{m-1} is the sum of the omit-one products, and their terms never meet:
     # omitting one of the d pivots s_i leaves d**(m-d) monomials (one row i
     # per avoided column), omitting one of the m - d avoided columns leaves
-    # d**(m-d-1)
-    terms = d ** (m - d - 1) * (d * d + m - d)
-    if terms > EXPANSION_BUDGET:
+    # d**(m-d-1).  For d >= 2 that is more than 2**(m-d-1), so a huge size is
+    # refused on that bound before the exact count is formed
+    huge = d >= 2 and m - d - 1 >= EXPANSION_BUDGET.bit_length()
+    terms = f"more than 2^{m - d - 1}" if huge else d ** (m - d - 1) * (d * d + m - d)
+    if huge or terms > EXPANSION_BUDGET:
         raise BudgetExceeded(
             f"chart expansion of {terms} terms exceeds the budget of {EXPANSION_BUDGET}"
         )
@@ -369,10 +340,12 @@ def enumerate_isolated(d: int, field=QQ):
     total = 1  # (2d - 1)!!, the number of pairings
     for k in range(1, m, 2):
         total *= k
-    if total > ISOLATED_BUDGET:
-        raise BudgetExceeded(
-            f"{total} isolated points exceed the budget of {ISOLATED_BUDGET}"
-        )
+        if total > ISOLATED_BUDGET:
+            # the factors left, k + 2 up to m - 1, only make the count larger
+            more = "more than " if k + 2 < m else ""
+            raise BudgetExceeded(
+                f"{more}{total} isolated points exceed the budget of {ISOLATED_BUDGET}"
+            )
     results = []
     for match in matchings(m):
         rows = []
@@ -469,8 +442,11 @@ def enumerate_subspaces(d: int, m: int, field, budget: int = ENUMERATION_BUDGET)
     if not 1 <= d <= m:
         raise ValueError(f"need 1 <= d <= m, got d={d}, m={m}")
     p = field.characteristic
-    total = gaussian_binomial(m, d, p)
-    if total > budget:
+    # p**(d*(m-d)) <= [m choose d]_p, so a huge size is refused on that bound
+    # before the exact count is formed
+    huge = d * (m - d) * (p.bit_length() - 1) >= budget.bit_length()
+    total = f"at least {p}^{d * (m - d)}" if huge else gaussian_binomial(m, d, p)
+    if huge or total > budget:
         raise BudgetExceeded(
             f"{total} subspaces exceed the budget of {budget}; raise --budget"
         )

@@ -1,7 +1,10 @@
+import hashlib
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -300,7 +303,7 @@ member_matrices.[0].[0]: [1, 2]
         '"members": 1, "member_matrices": [[["1", "2"]]]}\n',
     ),
     "equations": (
-        ["equations", "--d", "1", "--m", "3", "--avoid", "2,3"],
+        ["equations", "--d", "1", "--m", "3"],
         None,
         0,
         """\
@@ -418,15 +421,18 @@ class TestOtherCommands:
         assert rep["count"] == count
 
     def test_isolated_budget_exit_2(self, capsys, monkeypatch):
-        # 13!! = 135,135 points exceed the budget of 10^5 before any is built
+        # 13!! = 135,135 points exceed the budget of 10^5 before any is built;
+        # for d = 10^5 the product stops at the first factor past the budget
         def refuse(two_d):
             raise AssertionError("matchings enumerated past the budget")
 
         monkeypatch.setattr(fano, "matchings", refuse)
-        code, out, err = run(capsys, ["isolated", "--d", "7"])
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+        for d in (7, 100000):
+            code, out, err = run(capsys, ["isolated", "--d", str(d)])
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "budget of 100000" in err
 
     def test_isolated_d1_row(self, capsys):
         _, out, _ = run(capsys, ["--json", "isolated", "--d", "1"])
@@ -450,9 +456,7 @@ class TestOtherCommands:
         assert err == b""
 
     def test_equations(self, capsys):
-        code, out, _ = run(
-            capsys, ["--json", "equations", "--d", "1", "--m", "3", "--avoid", "2,3"]
-        )
+        code, out, _ = run(capsys, ["--json", "equations", "--d", "1", "--m", "3"])
         assert code == 0
         rep = json.loads(out)
         assert rep["equation_count"] == 1
@@ -460,15 +464,25 @@ class TestOtherCommands:
 
     def test_equations_budget_exit_2(self, capsys, monkeypatch):
         # (7, 14) expands to 7**6 * 56 = 6,588,344 terms, past the budget of
-        # 3 * 10**6, and is refused before the expansion starts
+        # 3 * 10**6, and is refused before the expansion starts; the two huge
+        # sizes are refused on the bound 2**(m-d-1), before the exact count
         def refuse(polys):
             raise AssertionError("chart expanded past the budget")
 
         monkeypatch.setattr(fano, "esym_almost_top", refuse)
-        code, out, err = run(capsys, ["equations", "--d", "7", "--m", "14"])
+        for d, m in [(7, 14), (1000, 200000), (100000, 3000000)]:
+            code, out, err = run(capsys, ["equations", "--d", str(d), "--m", str(m)])
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "budget of 3000000" in err
+
+    @pytest.mark.parametrize("d,m", [(0, 3), (3, 3)])
+    def test_equations_size_out_of_range_exit_2(self, capsys, d, m):
+        code, out, err = run(capsys, ["equations", "--d", str(d), "--m", str(m)])
         assert code == 2
         assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err == f"error: need 1 <= d < m, got d={d}, m={m}\n"
 
     def test_classify_expansion_budget_exit_2(self, capsys, tmp_path, monkeypatch):
         # a 7 x 24 plane costs 24 * C(29, 6) = 11,400,480 term steps, past
@@ -514,6 +528,15 @@ class TestOtherCommands:
             capsys, ["xcheck", "--d", "4", "--m", "9", "--prime", "5"]
         )
         assert code == 2
+        # 3,000,000 columns are refused on the bound 3**(d*(m-d)) before the
+        # exact count, a number of more than a million digits, is formed
+        code, out, err = run(
+            capsys, ["xcheck", "--d", "2", "--m", "3000000", "--prime", "3"]
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "budget of 1000000" in err
 
     @pytest.mark.parametrize("d,m", [(0, 3), (4, 3)])
     @pytest.mark.parametrize("command", ["xcheck", "brute"])
@@ -702,3 +725,25 @@ class TestReportDeterminism:
         _, out2, _ = run(capsys, ["isolated", "--d", "2"])
         assert out1 == out2
         assert "count: 3" in out1
+
+
+@pytest.fixture(scope="module")
+def bench_digests():
+    """The stdout digests recorded in bench/oracles.py, read and not edited."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "oracles.py"
+    spec = importlib.util.spec_from_file_location("oracles", path)
+    oracles = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracles)
+    return oracles.DIGESTS
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["equations --d 2 --m 5", "equations --d 3 --m 6", "xcheck --d 2 --m 4 --prime 3"],
+)
+def test_stdout_matches_bench_digest(capsys, bench_digests, command):
+    # the benchmark rejects a run whose stdout differs from its digest; this
+    # catches a rendering change on the cheap entries without a bench run
+    code, out, _ = run(capsys, command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == bench_digests[command]

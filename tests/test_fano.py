@@ -7,13 +7,10 @@ import pytest
 from esymfano import fano, linalg
 from esymfano.fano import (
     BudgetExceeded,
-    Chart,
     PartitionCertificate,
     PlaneMatrix,
     ZeroPair,
     brute_force_members,
-    charts_covering,
-    chart_fits,
     classify,
     cross_check,
     enumerate_isolated,
@@ -195,33 +192,9 @@ class TestVerifyCertificate:
         assert not verify_certificate(T, "junk")
 
 
-class TestCharts:
-    def test_counts(self):
-        assert len(charts_covering(1, 2)) == 2
-        assert {c.avoided for c in charts_covering(1, 2)} == {(0,), (1,)}
-        assert len(charts_covering(2, 4)) == 6
-
-    def test_covering_random(self, rng):
-        f5 = PrimeField(5)
-        charts = {(d, m): charts_covering(d, m) for d in (1, 2, 3) for m in (3, 4, 5)}
-        for _ in range(100):
-            d = rng.randint(1, 3)
-            m = rng.randint(max(d, 3), 5)
-            while True:
-                rows = [
-                    [f5.from_int(rng.randint(0, 4)) for _ in range(m)]
-                    for _ in range(d)
-                ]
-                if rank(rows, f5) == d:
-                    break
-            T = PlaneMatrix(f5, tuple(tuple(r) for r in rows))
-            assert any(chart_fits(T, c) for c in charts[(d, m)])
-
-
 class TestChartEquations:
     def test_d1_m3(self):
-        chart = Chart((1, 2), (0,))
-        eqs = fano_chart_equations(chart)
+        eqs = fano_chart_equations(1, 3)
         assert len(eqs) == 1
         mono, eq = eqs[0]
         assert mono == (2,)
@@ -231,20 +204,19 @@ class TestChartEquations:
         assert eq == a + b + a * b
 
     def test_d1_m2(self):
-        eqs = fano_chart_equations(Chart((1,), (0,)))
+        eqs = fano_chart_equations(1, 2)
         assert len(eqs) == 1
         a = Polynomial.variable(QQ, 1, 0)
         assert eqs[0][1] == Polynomial.one(QQ, 1) + a
 
     def test_d2_m4_count(self):
-        eqs = fano_chart_equations(Chart((2, 3), (0, 1)))
+        eqs = fano_chart_equations(2, 4)
         assert len(eqs) == 4  # degree-3 monomials in s1, s2
         assert [mono for mono, _ in eqs] == [(0, 3), (1, 2), (2, 1), (3, 0)]
 
     def test_consistency_with_direct(self, rng):
         # a chart-form matrix satisfies every equation iff the expansion vanishes
-        chart = Chart((2, 3), (0, 1))
-        eqs = fano_chart_equations(chart)
+        eqs = fano_chart_equations(2, 4)
         samples = [
             [[1, 0, -1, 0], [0, 1, 0, -1]],
             [[1, 0, 1, 0], [0, 1, 0, 1]],
@@ -269,31 +241,26 @@ class TestChartEquations:
     @pytest.mark.parametrize("d,m", [(2, 4), (2, 5), (3, 5), (3, 6)])
     def test_reassembled_expansion(self, d, m):
         # sum_s s^mono * eq over the equations must be E_{m-1} substituted at
-        # the chart's columns: s_i at pivot i, sum_i a_{i,k} s_i at avoided k
+        # the standard chart's columns: s_i at column i < d, and
+        # sum_i a_{i,k} s_i at column d + k
         na, ntot = d * (m - d), d * (m - d) + d
 
         def x(v):
             return Polynomial.variable(QQ, ntot, v)
 
-        charts = charts_covering(d, m)
-        for chart in (charts[0], charts[-1]):
-            columns = []
-            for j in range(m):
-                if j in chart.pivots:
-                    columns.append(x(na + chart.pivots.index(j)))
-                else:
-                    k = chart.avoided.index(j)
-                    col = Polynomial.zero(QQ, ntot)
-                    for i in range(d):
-                        col = col + x(i * (m - d) + k) * x(na + i)
-                    columns.append(col)
-            expected = poly_eval(elem_sym(m - 1, m, QQ), columns)
-            terms = {}
-            for s_mono, eq in fano_chart_equations(chart):
-                for a_exps, c in eq.terms.items():
-                    terms[a_exps + s_mono] = c
-            assert not expected.is_zero()
-            assert Polynomial(QQ, ntot, terms) == expected
+        columns = [x(na + i) for i in range(d)]
+        for k in range(m - d):
+            col = Polynomial.zero(QQ, ntot)
+            for i in range(d):
+                col = col + x(i * (m - d) + k) * x(na + i)
+            columns.append(col)
+        expected = poly_eval(elem_sym(m - 1, m, QQ), columns)
+        terms = {}
+        for s_mono, eq in fano_chart_equations(d, m):
+            for a_exps, c in eq.terms.items():
+                terms[a_exps + s_mono] = c
+        assert not expected.is_zero()
+        assert Polynomial(QQ, ntot, terms) == expected
 
     def test_budget(self, monkeypatch):
         # the budget's term count is exact: (3, 6) expands to 3**2 * 12 = 108
@@ -306,13 +273,12 @@ class TestChartEquations:
             return out
 
         monkeypatch.setattr(fano, "esym_almost_top", spy)
-        chart = charts_covering(3, 6)[-1]
         monkeypatch.setattr(fano, "EXPANSION_BUDGET", 108)
-        fano_chart_equations(chart)
+        fano_chart_equations(3, 6)
         assert sizes == [108]
         monkeypatch.setattr(fano, "EXPANSION_BUDGET", 107)
         with pytest.raises(BudgetExceeded, match="108 terms exceeds the budget of 107"):
-            fano_chart_equations(chart)
+            fano_chart_equations(3, 6)
         assert sizes == [108]
 
 

@@ -110,9 +110,7 @@ TEST_ONLY = {
     # poly_eval, is not listed, as invariants and substitute_linear_forms call it
     "elem_sym",
     "substitute_linear_forms",
-    # chart cover and dimension counts whose values the tests check
-    "charts_covering",
-    "chart_fits",
+    # dimension counts whose values the tests check
     "expected_dimension",
     "stratum_dimension",
     # reads one coefficient in the tests' assertions
