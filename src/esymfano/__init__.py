@@ -1,6 +1,13 @@
 """Exact toolkit for planes on Z(E_{m-1}) and finite-group polynomial invariants."""
 
-from .fields import QQ, FieldError, PrimeField, RationalField, field_from_descriptor
+from .fields import (
+    QQ,
+    BudgetExceeded,
+    FieldError,
+    PrimeField,
+    RationalField,
+    field_from_descriptor,
+)
 from .poly import (
     LinearForm,
     Polynomial,
@@ -10,7 +17,6 @@ from .poly import (
     substitute_linear_forms,
 )
 from .fano import (
-    BudgetExceeded,
     MembershipVerdict,
     PartitionCertificate,
     PlaneMatrix,
@@ -29,9 +35,7 @@ from .fano import (
     verify_certificate,
 )
 from .invariants import (
-    ClosureBudgetExceeded,
     GroupAction,
-    SpanBudgetExceeded,
     close_group,
     generation_check,
     invariant_dim,

@@ -4,8 +4,8 @@ Subcommands: classify, equations, isolated, brute, xcheck, invariants,
 reciprocals.  Matrix documents come from a file argument or stdin.  Each
 subcommand returns (report, exit status) or raises; main() alone renders the
 report to stdout (flat deterministic text, or JSON with --json) and turns
-malformed or unreadable input (any ValueError, or an exceeded budget) into
-one "error:" line on stderr.  Any other exception is a bug and propagates.
+malformed or unreadable input (any ValueError, an exceeded budget included)
+into one "error:" line on stderr.  Any other exception is a bug and propagates.
 Exit status: 0 success, 1 mathematical negative, 2 input error, 3 internal
 inconsistency (the structural and direct verdicts disagree), 141 stdout
 closed before the report was written (128 + SIGPIPE, as in a shell).
@@ -399,12 +399,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         report, status = args.func(args)
-    except (
-        ValueError,
-        fano.BudgetExceeded,
-        invariants.ClosureBudgetExceeded,
-        invariants.SpanBudgetExceeded,
-    ) as e:
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     try:

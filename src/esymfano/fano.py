@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .fields import QQ, FieldError
+from .fields import QQ, BudgetExceeded, FieldError
 from .linalg import mat_mul, nullspace, rank
 from .poly import (
     LinearForm,
@@ -26,10 +26,6 @@ from .poly import (
     esym,
     esym_almost_top,
 )
-
-
-class BudgetExceeded(RuntimeError):
-    """An enumeration or expansion would exceed its budget."""
 
 
 # most isolated points enumerate_isolated builds; (2d - 1)!! passes it at d = 7
@@ -43,9 +39,11 @@ ENUMERATION_BUDGET = 10**6
 # m * C(m + d - 2, d - 1), its m factor steps times the count of degree-(m-1)
 # monomials in d variables.  For a random integer plane over Q that admits
 # (6, 24) at 2.36M (4 s on a 2-core host) and refuses (7, 24) at 11.4M (24 s).
+# reciprocal_relation_space makes m such expansions and holds m times that:
+# 19 random integer forms in 5 variables at 2.64M (19 s), 24 refused at 10.1M.
 # The ceiling is intended: (6, 13), 2.0M chart terms and 23 s of expansion on
 # the same host, is the largest chart equations job admitted, and one bound
-# serves both callers, so a value low enough to refuse it would refuse the
+# serves every caller, so a value low enough to refuse it would refuse the
 # (6, 24) membership expansions too
 EXPANSION_BUDGET = 3 * 10**6
 
@@ -125,15 +123,20 @@ class MembershipVerdict:
 # -- direct membership ----------------------------------------------------
 
 
-def membership_expansion(T: PlaneMatrix) -> Polynomial:
-    """E_{m-1} evaluated at the column forms of T, a polynomial in d variables."""
-    d, m = T.d, T.m
-    cost = m * comb(m + d - 2, d - 1)
+def _check_expansion_budget(products, d, m, what):
+    """Refuse before the first product when that many expansions of E_{m-1}
+    at m forms in d variables cost more than EXPANSION_BUDGET term steps:
+    m factor steps times the C(m + d - 2, d - 1) monomials of degree m - 1."""
+    cost = products * m * comb(m + d - 2, d - 1)
     if cost > EXPANSION_BUDGET:
         raise BudgetExceeded(
-            f"expansion of a {d} x {m} plane costs up to {cost} term steps, "
-            f"over the budget of {EXPANSION_BUDGET}"
+            f"{what} costs up to {cost} term steps, over the budget of {EXPANSION_BUDGET}"
         )
+
+
+def membership_expansion(T: PlaneMatrix) -> Polynomial:
+    """E_{m-1} evaluated at the column forms of T, a polynomial in d variables."""
+    _check_expansion_budget(1, T.d, T.m, f"expansion of a {T.d} x {T.m} plane")
     return esym_almost_top(T.column_forms())
 
 
@@ -535,7 +538,10 @@ def reciprocal_relation_space(forms):
     field = forms[0].field
     if any(g.is_zero() for g in forms):
         raise ValueError("zero form present")
-    m, zero = len(forms), LinearForm(field, [field.zero] * forms[0].nvars)
+    m, d = len(forms), forms[0].nvars
+    # one expansion per omitted form
+    _check_expansion_budget(m, d, m, f"the relation space of {m} forms in {d} variables")
+    zero = LinearForm(field, [field.zero] * d)
     # E_{m-1} with f_j replaced by 0 is the one product that omits f_j
     products = [esym(m - 1, forms[:j] + [zero] + forms[j + 1 :]) for j in range(m)]
     # one row per monomial, one column per form; a product of nonzero forms

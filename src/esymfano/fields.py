@@ -14,6 +14,10 @@ class FieldError(ValueError):
     """Raised on malformed scalars or incompatible field operands."""
 
 
+class BudgetExceeded(ValueError):
+    """An enumeration, expansion or span would exceed its budget."""
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False

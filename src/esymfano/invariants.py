@@ -16,27 +16,13 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 from math import comb, lcm
-from operator import mul
+from operator import add, mul
 
-from .fields import QQ, FieldError, PrimeField
+from .fields import QQ, BudgetExceeded, FieldError, PrimeField
 from .linalg import identity, is_invertible, mat_mul, rank
-from .poly import (
-    LinearForm,
-    Polynomial,
-    coefficient_rows,
-    degree_monomials,
-    esym,
-    poly_eval,
-)
-
-
-class ClosureBudgetExceeded(RuntimeError):
-    pass
-
-
-class SpanBudgetExceeded(RuntimeError):
-    pass
+from .poly import LinearForm, Polynomial, coefficient_rows, esym, poly_eval
 
 
 CLOSURE_BUDGET = 10**4  # most elements close_group lists before refusing
@@ -143,9 +129,7 @@ def close_group(generators, field=QQ) -> GroupAction:
 
     def admit(prod):
         if len(seen) >= CLOSURE_BUDGET:
-            raise ClosureBudgetExceeded(
-                f"group closure exceeds {CLOSURE_BUDGET} elements"
-            )
+            raise BudgetExceeded(f"group closure exceeds {CLOSURE_BUDGET} elements")
 
     _close(seen, (), gens, field, admit)
     seen.remove(ident)
@@ -203,36 +187,41 @@ def _span_dim(polys, field) -> int:
     return rank(coefficient_rows(polys), field)
 
 
+def _products_by_degree(factors, degrees, D):
+    """levels[k] for k = 0..D: the product of each multiset of the factors
+    whose degrees sum to k, factors of degree below 1 left out.  Factor i
+    multiplies only the products whose largest index is at most i, so each
+    multiset is multiplied out once, and each level lists its multisets in
+    an order that depends on the degrees alone."""
+    one = Polynomial.one(factors[0].field, factors[0].nvars)
+    levels = [[(one, 0)]]
+    for k in range(1, D + 1):
+        levels.append([
+            (p * f, i)
+            for i, (f, deg) in enumerate(zip(factors, degrees))
+            if 0 < deg <= k
+            for p, last in levels[k - deg]
+            if last <= i
+        ])
+    return [[p for p, _ in level] for level in levels]
+
+
 def _invariant_dims(group: GroupAction, D: int):
     """dim R^G_k for k = 0..D: the ranks of the Reynolds images of the
     degree-k monomials, all degrees in one pass over the group.
 
     The image of x^e under g is prod_i L_i^(e_i), L_i = row i of g as a
-    linear form.  For each g the degree-k images are built from the degree
-    k - 1 ones, img(x^e) = img(x^(e - u_j)) * L_j with j the first nonzero
-    index of e, and added into one sum per monomial.  The sums are the
-    Reynolds images times |G|, which leaves every rank unchanged.
+    linear form: the product of the multiset of rows that takes row i e_i
+    times.  The images under each g are added level by level, multiset by
+    multiset.  The sums are the Reynolds images times |G|, which leaves
+    every rank unchanged.
     """
     group.require_large_characteristic()
     field, n = group.field, group.dimension
-    # per degree k >= 1: (e, e - u_j, j) for each monomial x^e of degree k
-    steps = []
-    for k in range(1, D + 1):
-        level = []
-        for e in degree_monomials(n, k):
-            j = next(i for i, a in enumerate(e) if a)
-            level.append((e, e[:j] + (e[j] - 1,) + e[j + 1 :], j))
-        steps.append(level)
-    sums = [{e: Polynomial.zero(field, n) for e, _, _ in level} for level in steps]
-    for g in group.elements:
-        forms = _row_forms(g, field)
-        images = {(0,) * n: Polynomial.one(field, n)}
-        for level, total in zip(steps, sums):
-            images = {e: images[lower] * forms[j] for e, lower, j in level}
-            for e, img in images.items():
-                total[e] = total[e] + img
+    images = (_products_by_degree(_row_forms(g, field), [1] * n, D) for g in group.elements)
+    sums = reduce(lambda s, t: [list(map(add, a, b)) for a, b in zip(s, t)], images)
     # monomials in one orbit share a sum; repeated rows leave the rank as is
-    return [1] + [_span_dim(list(dict.fromkeys(total.values())), field) for total in sums]
+    return [1] + [_span_dim(list(dict.fromkeys(level)), field) for level in sums[1:]]
 
 
 def _molien_exact(field, n: int, D: int) -> bool:
@@ -328,30 +317,14 @@ def invariant_dim(group: GroupAction, degree: int) -> int:
 def subalgebra_graded_dims(gens, D: int):
     """For each degree k <= D, the dimension of the span of all products of
     the homogeneous generators with total degree exactly k."""
-    gens = [g for g in gens]
+    gens = list(gens)
     if not gens:
         raise ValueError("no generators")
-    field = gens[0].field
-    nvars = gens[0].nvars
-    degs = []
-    for g in gens:
-        if not g.is_homogeneous():
-            raise ValueError("inhomogeneous generator")
-        degs.append(g.degree())
-    # levels[k]: (product, largest generator index) per multiset of degree k;
-    # g_i multiplies only the products whose largest index is at most i, so
-    # each multiset is multiplied out once
-    levels = [[(Polynomial.one(field, nvars), 0)]]
-    for k in range(1, D + 1):
-        levels.append([
-            (p * g, i)
-            for i, (g, deg) in enumerate(zip(gens, degs))
-            if 0 < deg <= k
-            for p, last in levels[k - deg]
-            if last <= i
-        ])
+    if not all(g.is_homogeneous() for g in gens):
+        raise ValueError("inhomogeneous generator")
+    levels = _products_by_degree(gens, [g.degree() for g in gens], D)
     # the empty product spans the constants
-    return [1] + [_span_dim([p for p, _ in level], field) for level in levels[1:]]
+    return [1] + [_span_dim(level, gens[0].field) for level in levels[1:]]
 
 
 # -- generation check and the quadratic counterexample ----------------------
@@ -388,7 +361,7 @@ def _check_span_budget(n: int, degrees, D: int, reynolds: bool):
         multisets.append(row)
         cells += monomials * (below + (monomials if reynolds else 1))
         if cells > SPAN_BUDGET:
-            raise SpanBudgetExceeded(
+            raise BudgetExceeded(
                 f"generation check to degree {D} ranks more than {SPAN_BUDGET} "
                 "coefficient cells; lower the degree bound"
             )

@@ -213,7 +213,8 @@ def esym(r: int, polys) -> Polynomial:
     one number of variables.  Multiplied out one factor at a time.  After
     factor j, E_k is still zero for k > j + 1, and E_k for k < r - (m - 1 - j)
     can no longer reach E_r, so only the band of k between those bounds is
-    updated.  For r = m - 1 the band is two slots wide.
+    updated and each slot that falls below it is released.  For r = m - 1
+    the band is two slots wide.
 
     The loop runs on dicts from packed monomials to ints.  Each variable gets
     a slot of w bytes, the smallest w in {1, 2, 4, 8} with base <= 256**w,
@@ -266,6 +267,8 @@ def esym(r: int, polys) -> Polynomial:
                 for b, cb in g:
                     acc[a + b] = acc.get(a + b, 0) + ca * cb
             e[k] = {key: c for key, c in zip(acc, map(reduce, acc.values())) if c}
+        if r - m + j >= 0:
+            e[r - m + j] = None
     scale, nbytes, code = D**r, nvars * w, "BHIQ"[w.bit_length() - 1]
     out = Polynomial(field, nvars)
     out.terms = {

@@ -568,6 +568,20 @@ class TestOtherCommands:
         assert code == 0
         assert rep["relation_space_dim"] == 0
 
+    def test_reciprocals_budget_exit_2(self, capsys, monkeypatch):
+        # 24 forms in 5 variables: 24 expansions of 24 * C(27, 4) term steps,
+        # 10,108,800 in all, past the budget of 3 * 10**6
+        def refuse(r, polys):
+            raise AssertionError("product formed past the budget")
+
+        monkeypatch.setattr(fano, "esym", refuse)
+        doc = "Q\n" + "".join(f"{j + 1} {j * j} 1 {j % 3} 2\n" for j in range(24))
+        code, out, err = run(capsys, ["reciprocals"], stdin=doc, monkeypatch=monkeypatch)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "10108800 term steps" in err and "budget of 3000000" in err
+
     def test_invariants_builtin(self, capsys):
         code, out, _ = run(capsys, ["--json", "invariants", "z2-example"])
         assert code == 0

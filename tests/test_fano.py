@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -281,6 +282,17 @@ class TestChartEquations:
             fano_chart_equations(3, 6)
         assert sizes == [108]
 
+    def test_expansion_releases_finished_slots(self):
+        # E_k of a prefix is dropped once k falls below the band; kept, the
+        # slots of (1, 200) peak at 10.8 MB, against about 1.1 MB dropped
+        tracemalloc.start()
+        try:
+            fano_chart_equations(1, 200)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 10**6
+
 
 class TestDimensions:
     @pytest.mark.parametrize(
@@ -497,6 +509,16 @@ class TestReciprocalRelations:
             reciprocal_relation_space([self.lf(0, 0)])
         with pytest.raises(ValueError):
             proportionality_class_count([self.lf(1, 0), self.lf(0, 0)])
+
+    def test_budget_is_exact(self, monkeypatch):
+        # 3 forms in 2 variables: 3 expansions of 3 * C(3, 1) = 9 term steps
+        forms = [self.lf(1, 0), self.lf(0, 1), self.lf(1, 1)]
+        monkeypatch.setattr(fano, "EXPANSION_BUDGET", 27)
+        assert reciprocal_relation_space(forms) == []
+        monkeypatch.setattr(fano, "EXPANSION_BUDGET", 26)
+        monkeypatch.setattr(fano, "esym", None)  # refused before the first product
+        with pytest.raises(BudgetExceeded, match="27 term steps, over the budget of 26"):
+            reciprocal_relation_space(forms)
 
     def test_dimension_law_random(self, rng):
         for _ in range(200):

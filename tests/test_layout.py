@@ -1,6 +1,7 @@
 """Source layout rules checked by reading the package's own files."""
 
 import ast
+import builtins
 import importlib.util
 import inspect
 from pathlib import Path
@@ -102,6 +103,38 @@ def test_monomial_order_stays_at_the_presentation_layer():
             ):
                 users.add(path.name)
     assert users == {"cli.py", "poly.py"}
+
+
+def test_every_exception_is_a_value_error():
+    """main() turns a ValueError into exit 2 and one error line, and catches
+    nothing else, so every exception class the package defines must derive
+    from ValueError.  A class's bases are followed through the package to the
+    builtin classes at the root."""
+    bases = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = [
+                    b.id if isinstance(b, ast.Name) else getattr(b, "attr", None)
+                    for b in node.bases
+                ]
+
+    def roots(name):
+        builtin = getattr(builtins, name or "", None)
+        if isinstance(builtin, type):
+            return [builtin]
+        return [root for base in bases.get(name, ()) for root in roots(base)]
+
+    errors = {
+        name: roots(name)
+        for name in bases
+        if any(issubclass(root, BaseException) for root in roots(name))
+    }
+    assert {"BudgetExceeded", "FieldError", "InputError"} <= set(errors)
+    assert [
+        name for name, found in errors.items()
+        if not any(issubclass(root, ValueError) for root in found)
+    ] == []
 
 
 # Public names with no caller in src/ or bench/, each kept for the tests
