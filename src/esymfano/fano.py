@@ -267,6 +267,13 @@ def fano_chart_equations(d: int, m: int, field=QQ):
         raise BudgetExceeded(
             f"chart expansion of {terms} terms exceeds the budget of {EXPANSION_BUDGET}"
         )
+    # C(m + d - 2, d - 1) is a product of d - 1 factors (m - 1 + i) / i >= 2
+    huge = d - 1 >= EXPANSION_BUDGET.bit_length()
+    count = f"at least 2^{d - 1}" if huge else comb(m + d - 2, d - 1)
+    if huge or count > EXPANSION_BUDGET:
+        raise BudgetExceeded(
+            f"{count} chart equations exceed the budget of {EXPANSION_BUDGET}"
+        )
     na = d * (m - d)
     ntot = na + d  # unknowns first, then the s variables
 

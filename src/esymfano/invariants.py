@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from math import comb, lcm
-from operator import add, mul
+from operator import add, getitem, mul
 
 from .fields import QQ, BudgetExceeded, FieldError, PrimeField
 from .linalg import identity, is_invertible, mat_mul, rank
@@ -114,7 +114,8 @@ class GroupAction:
 
 def close_group(generators, field=QQ) -> GroupAction:
     """The group generated by the matrices, as an explicit element list.
-    _close proves it a group, so GroupAction's check is skipped."""
+    _close proves it a group, so GroupAction's check is skipped.  Over Q an
+    element whose trace rules out finite order is refused at once."""
     gens = [tuple(tuple(row) for row in g) for g in generators]
     if not gens:
         raise ValueError("no generators")
@@ -128,6 +129,14 @@ def close_group(generators, field=QQ) -> GroupAction:
     seen = {ident}
 
     def admit(prod):
+        # each trace in a finite group is a sum of n roots of unity, so over Q
+        # an integer in [-n, n]
+        trace = 0 if field.characteristic else sum(map(getitem, prod, range(n)))
+        if trace.denominator != 1 or abs(trace.numerator) > n:
+            raise ValueError(
+                "the generators generate no finite group: an element has a trace "
+                f"that is not an integer in [-{n}, {n}]"
+            )
         if len(seen) >= CLOSURE_BUDGET:
             raise BudgetExceeded(f"group closure exceeds {CLOSURE_BUDGET} elements")
 
@@ -145,8 +154,8 @@ def close_group(generators, field=QQ) -> GroupAction:
 
 
 def _row_forms(g, field):
-    """The rows of g as degree-one polynomials: f . g substitutes x_i -> row i."""
-    return [LinearForm(field, row).to_polynomial() for row in g]
+    """The rows of g as linear forms: f . g substitutes x_i -> row i."""
+    return [LinearForm(field, row) for row in g]
 
 
 def orbit_of_form(f: LinearForm, group: GroupAction):
@@ -457,7 +466,7 @@ def z2_counterexample_report(trials: int = 50, seed: int = 0):
         # q = sum_i (a_i x + b_i y)^2
         q = Polynomial.zero(field, 2)
         for a, b in pairs:
-            g = LinearForm(field, (a, b)).to_polynomial()
+            g = LinearForm(field, (a, b))
             q = q + g * g
         e1 = esym(1, forms)
         e2 = esym(2, forms)
@@ -470,7 +479,7 @@ def z2_counterexample_report(trials: int = 50, seed: int = 0):
         if _in_span([q], xy, field):
             single_image_hits += 1
 
-    x_plus_y = LinearForm(field, (field.one, field.one)).to_polynomial()
+    x_plus_y = LinearForm(field, (field.one, field.one))
     polarization = (x_plus_y * x_plus_y - x * x - y * y).scale(
         field.inv(field.from_int(2))
     )

@@ -8,6 +8,7 @@ Term iteration is deterministic (graded lexicographic).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations_with_replacement
 from math import lcm
 from operator import lshift
@@ -165,42 +166,24 @@ class Polynomial:
         return f"Polynomial({self.field}, {self.nvars}, {format_polynomial(self)})"
 
 
-class LinearForm:
-    """A degree-1 homogeneous polynomial, stored as its coefficient row."""
+@cache
+def _unit_vectors(n):
+    """The exponent vectors x_1, ..., x_n, shared by every form in n variables."""
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
-    __slots__ = ("field", "coeffs")
+
+class LinearForm(Polynomial):
+    """A degree-1 homogeneous polynomial built from its coefficient row: one
+    term x_i per nonzero c_i.  The row stays in coeffs."""
+
+    __slots__ = ("coeffs",)
 
     def __init__(self, field, coeffs):
+        # unit exponents and nonzero coefficients: Polynomial's checks are skipped
+        self.coeffs = coeffs = tuple(coeffs)
         self.field = field
-        self.coeffs = tuple(coeffs)
-
-    @property
-    def nvars(self):
-        return len(self.coeffs)
-
-    def is_zero(self):
-        return all(c == self.field.zero for c in self.coeffs)
-
-    def to_polynomial(self) -> Polynomial:
-        n = len(self.coeffs)
-        terms = {}
-        for i, c in enumerate(self.coeffs):
-            if c != self.field.zero:
-                terms[tuple(1 if j == i else 0 for j in range(n))] = c
-        return Polynomial(self.field, n, terms)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LinearForm)
-            and self.field == other.field
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.coeffs))
-
-    def __repr__(self):
-        return f"LinearForm({self.field}, {self.coeffs})"
+        self.nvars = len(coeffs)
+        self.terms = {e: c for e, c in zip(_unit_vectors(self.nvars), coeffs) if c}
 
 
 # -- core operations ------------------------------------------------------
@@ -209,23 +192,20 @@ class LinearForm:
 def esym(r: int, polys) -> Polynomial:
     """E_r(g_1, ..., g_m): the t^r coefficient of prod_j (1 + g_j t).
 
-    The factors are Polynomials or LinearForms, in any mix, over one field and
-    one number of variables.  Multiplied out one factor at a time.  After
-    factor j, E_k is still zero for k > j + 1, and E_k for k < r - (m - 1 - j)
-    can no longer reach E_r, so only the band of k between those bounds is
-    updated and each slot that falls below it is released.  For r = m - 1
-    the band is two slots wide.
+    The factors are Polynomials over one field and one number of variables,
+    multiplied out one factor at a time.  After factor j, E_k is still zero
+    for k > j + 1, and E_k for k < r - (m - 1 - j) can no longer reach E_r,
+    so only the band of k between those bounds is updated and each slot that
+    falls below it is released.  For r = m - 1 the band is two slots wide.
 
     The loop runs on dicts from packed monomials to ints.  Each variable gets
     a slot of w bytes, the smallest w in {1, 2, 4, 8} with base <= 256**w,
-    base = 1 + sum_j deg(g_j) (a LinearForm counts 1).  No exponent of any
-    E_k reaches base, so adding keys never carries.  Exponents e pack to
-    sum_v e_v << 8*w*v; a LinearForm packs its coefficient row directly, one
-    key 1 << 8*w*v per nonzero c_v.  Each result key unpacks in one call, a
-    memoryview cast of its bytes to w-byte unsigned ints.  Over F_p the ints
-    are residues reduced once per factor step; over Q the loop runs over Z
-    on D g_j, D the lcm of all denominators, and divides by D^r, as
-    E_r(D g) = D^r E_r(g).
+    base = 1 + sum_j deg(g_j).  No exponent of any E_k reaches base, so
+    adding keys never carries.  Exponents e pack to sum_v e_v << 8*w*v.
+    Each result key unpacks in one call, a memoryview cast of its bytes to
+    w-byte unsigned ints.  Over F_p the ints are residues reduced once per
+    factor step; over Q the loop runs over Z on D g_j, D the lcm of all
+    denominators, and divides by D^r, as E_r(D g) = D^r E_r(g).
     """
     polys = list(polys)
     m = len(polys)
@@ -242,20 +222,14 @@ def esym(r: int, polys) -> Polynomial:
             )
     p = field.characteristic
     reduce = (lambda c: c % p) if p else int  # over Q the ints stay as they are
-    coeffs = (g.coeffs if isinstance(g, LinearForm) else g.terms.values() for g in polys)
-    D = 1 if p else lcm(*(c.denominator for cs in coeffs for c in cs))
-    base = 1 + sum(
-        1 if isinstance(g, LinearForm) else max(map(sum, g.terms), default=0)
-        for g in polys
-    )
+    D = 1 if p else lcm(*(c.denominator for g in polys for c in g.terms.values()))
+    base = 1 + sum(max(map(sum, g.terms), default=0) for g in polys)
     w = next((w for w in (1, 2, 4, 8) if base <= 256**w), None)
     if w is None:
         raise ValueError(f"degree sum {base - 1} does not fit an 8-byte slot")
     shifts = range(0, 8 * w * nvars, 8 * w)
     packed = [
-        [(1 << s, int(c * D)) for s, c in zip(shifts, g.coeffs) if c]
-        if isinstance(g, LinearForm)
-        else [(sum(map(lshift, exps, shifts)), int(c * D)) for exps, c in g.terms.items()]
+        [(sum(map(lshift, exps, shifts)), int(c * D)) for exps, c in g.terms.items()]
         for g in polys
     ]
     # e[k] holds E_k of the factors processed so far
@@ -325,18 +299,12 @@ def substitute_linear_forms(f: Polynomial, matrix) -> Polynomial:
 
     matrix is d x m with m = f.nvars; the result lives in d variables.
     """
-    d = len(matrix)
-    if d == 0:
+    if not matrix:
         raise ValueError("matrix must have at least one row")
     m = len(matrix[0])
     if m != f.nvars:
         raise ValueError(f"matrix has {m} columns, polynomial has {f.nvars} variables")
-    field = f.field
-    forms = []
-    for j in range(m):
-        coeffs = [matrix[i][j] for i in range(d)]
-        forms.append(LinearForm(field, coeffs).to_polynomial())
-    return poly_eval(f, forms)
+    return poly_eval(f, [LinearForm(f.field, col) for col in zip(*matrix)])
 
 
 def coefficient_rows(polys):

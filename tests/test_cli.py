@@ -477,6 +477,19 @@ class TestOtherCommands:
             assert err.startswith("error: ") and err.count("\n") == 1
             assert "budget of 3000000" in err
 
+    def test_equations_count_budget_exit_2(self, capsys, monkeypatch):
+        # (20, 21) expands to only 401 terms but has C(39, 19), about 6.9e10,
+        # equations; (30, 31) is refused on the bound 2**(d-1)
+        def refuse(polys):
+            raise AssertionError("chart expanded past the budget")
+
+        monkeypatch.setattr(fano, "esym_almost_top", refuse)
+        for d, m, count in [(20, 21, "68923264410"), (30, 31, "at least 2^29")]:
+            code, out, err = run(capsys, ["equations", "--d", str(d), "--m", str(m)])
+            assert code == 2
+            assert out == ""
+            assert err == f"error: {count} chart equations exceed the budget of 3000000\n"
+
     @pytest.mark.parametrize("d,m", [(0, 3), (3, 3)])
     def test_equations_size_out_of_range_exit_2(self, capsys, d, m):
         code, out, err = run(capsys, ["equations", "--d", str(d), "--m", str(m)])
@@ -658,6 +671,28 @@ class TestOtherCommands:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            {"generators": [[["1e400"]]], "seeds": [[1]]},
+            {"generators": [[["1e40"]]], "seeds": [[1]]},
+            # det 1, trace 10**40 + 2
+            {"generators": [[[10**40 + 1, 10**40], [1, 1]]], "seeds": [[1, 0]]},
+        ],
+        ids=["1e400", "1e40", "det-1"],
+    )
+    def test_invariants_infinite_group_exit_2(self, capsys, tmp_path, monkeypatch, scenario):
+        """A trace that is not an integer in [-n, n] proves the group infinite:
+        refused on that, before the closure budget is reached."""
+        monkeypatch.setattr(invariants, "CLOSURE_BUDGET", 3)
+        path = tmp_path / "infinite.json"
+        path.write_text(json.dumps(scenario))
+        code, out, err = run(capsys, ["invariants", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "finite" in err and "budget" not in err
 
     def test_invariants_span_budget_exit_2(self, capsys, tmp_path, monkeypatch):
         """S_4 to degree 30 ranks 8.5M cells: refused before any span."""

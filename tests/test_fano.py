@@ -282,6 +282,15 @@ class TestChartEquations:
             fano_chart_equations(3, 6)
         assert sizes == [108]
 
+    def test_budget_counts_equations(self, monkeypatch):
+        # (4, 5) expands to 4**0 * 17 = 17 terms but has C(7, 3) = 35
+        # equations, one per degree-4 monomial in 4 variables
+        monkeypatch.setattr(fano, "EXPANSION_BUDGET", 35)
+        assert len(fano_chart_equations(4, 5)) == 35
+        monkeypatch.setattr(fano, "EXPANSION_BUDGET", 34)
+        with pytest.raises(BudgetExceeded, match="35 chart equations exceed the budget of 34"):
+            fano_chart_equations(4, 5)
+
     def test_expansion_releases_finished_slots(self):
         # E_k of a prefix is dropped once k falls below the band; kept, the
         # slots of (1, 200) peak at 10.8 MB, against about 1.1 MB dropped

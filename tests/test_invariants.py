@@ -92,6 +92,20 @@ class TestCloseGroup:
         g = close_group([qm([[0, -1], [1, 0]])], QQ)
         assert g.order == 4
 
+    def test_trace_refuses_infinite_groups_over_q(self, monkeypatch):
+        """A trace that is not an integer in [-n, n] is refused at once; the
+        shear keeps trace 2 in every power and still meets the budget, and
+        F_7, where every group is finite, takes no trace check."""
+        monkeypatch.setattr(invariants, "CLOSURE_BUDGET", 20)
+        for gen in ([[2]], [["1/2"]], [[1, 1], [1, 0]], [["1/2", 0], [0, 2]]):
+            with pytest.raises(ValueError, match="no finite group"):
+                close_group([qm(gen)], QQ)
+        with pytest.raises(BudgetExceeded):
+            close_group([qm([[1, 1], [0, 1]])], QQ)
+        assert close_group([[[1, 1], [0, 1]]], F7).order == 7
+        # trace 1, order 6
+        assert close_group([qm([[1, -1], [1, 0]])], QQ).order == 6
+
     def test_non_invertible_rejected(self):
         with pytest.raises(ValueError):
             close_group([qm([[1, 0], [2, 0]])], QQ)
@@ -391,7 +405,7 @@ class TestCertifiedSubalgebraDims:
         spy = SubalgebraSpy(monkeypatch)
         out = generation_check(trivial, seeds, 4)
         assert spy.fields == [self.P, QQ]
-        exact = subalgebra_graded_dims([s.to_polynomial() for s in seeds], 4)
+        exact = subalgebra_graded_dims(seeds, 4)
         assert exact == [1, 2, 3, 4, 5]
         assert [row["subalgebra_dim"] for row in out["per_degree"]] == exact
         assert out["generated"]
@@ -511,7 +525,7 @@ def molien_series(group, K):
 
 def pullback(p, forms):
     """p(f_1, ..., f_m), substituted term by term: the oracle for esym."""
-    return poly_eval(p, [f.to_polynomial() for f in forms])
+    return poly_eval(p, forms)
 
 
 class TestPullback:

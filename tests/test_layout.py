@@ -137,6 +137,33 @@ def test_every_exception_is_a_value_error():
     ] == []
 
 
+def test_linear_form_is_only_a_polynomial_constructor():
+    """A linear form is the Polynomial built from its coefficient row: its
+    class defines __init__ and nothing else, and no code tells a form apart
+    from other polynomials, so no second factor path can come back."""
+    methods, checks = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ClassDef) and node.name == "LinearForm":
+                assert [ast.unparse(b) for b in node.bases] == ["Polynomial"]
+                methods += [
+                    f.name for f in node.body
+                    if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                ]
+            elif (
+                isinstance(node, ast.Call)
+                and ast.unparse(node.func) == "isinstance"
+                and any(
+                    getattr(n, "id", getattr(n, "attr", None)) == "LinearForm"
+                    for arg in node.args[1:]
+                    for n in ast.walk(arg)
+                )
+            ):
+                checks.append(f"{path.name}:{node.lineno}")
+    assert methods == ["__init__"]
+    assert checks == []
+
+
 # Public names with no caller in src/ or bench/, each kept for the tests
 TEST_ONLY = {
     # slow oracles that the fast paths are checked against; the third,

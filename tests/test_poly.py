@@ -24,7 +24,7 @@ def var(field, n, i):
 
 
 def at_forms(forms):
-    return esym_almost_top([g.to_polynomial() for g in forms])
+    return esym_almost_top(forms)
 
 
 def rand_poly(field, nvars, rng, maxdeg=3, nterms=4):
@@ -159,6 +159,23 @@ class TestSubstitution:
             assert out.is_zero() or out.degree() == r
 
 
+class TestLinearForm:
+    @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
+    def test_is_the_polynomial_of_its_row(self, field):
+        """A form is the Polynomial with one term c_i x_i per nonzero c_i:
+        equal to it both ways, hashed like it, its zero entries dropped."""
+        row = (field.from_int(3), field.zero, field.inv(field.from_int(-2)), field.zero)
+        form = LinearForm(field, row)
+        poly = Polynomial(field, 4, {(1, 0, 0, 0): row[0], (0, 0, 1, 0): row[2]})
+        assert form == poly and poly == form
+        assert hash(form) == hash(poly)
+        assert form.terms == poly.terms and form.nvars == 4
+        assert form.coeffs == row
+        zero = LinearForm(field, [field.zero] * 3)
+        assert zero == Polynomial.zero(field, 3) and zero.is_zero()
+        assert hash(zero) == hash(Polynomial.zero(field, 3))
+
+
 class TestTopAtForms:
     def test_sign_pairs_vanish(self):
         forms = [
@@ -230,9 +247,7 @@ class TestEsym:
         for _ in range(30):
             m, d = rng.randint(1, 7), rng.randint(1, 3)
             polys = [
-                LinearForm(
-                    field, [field.from_int(rng.randint(-4, 4)) for _ in range(d)]
-                ).to_polynomial()
+                LinearForm(field, [field.from_int(rng.randint(-4, 4)) for _ in range(d)])
                 for _ in range(m)
             ]
             for r in range(m + 1):
@@ -337,11 +352,8 @@ class TestEsymKernel:
                 else:
                     coeffs = [field.from_int(rng.randint(-4, 4)) for _ in range(nvars)]
                 forms.append(LinearForm(field, coeffs))
-            polys = [g.to_polynomial() for g in forms]
-            mixed = [g if k % 2 else polys[k] for k, g in enumerate(forms)]
             for r in range(m + 1):
-                assert esym(r, forms) == esym(r, polys)
-                assert esym(r, mixed) == esym(r, polys)
+                assert esym(r, forms) == sum_over_subsets(r, forms)
 
     def test_mixed_factor_kinds_mismatched_rejected(self):
         form_q = LinearForm(QQ, (Fraction(1), Fraction(2)))
