@@ -17,15 +17,8 @@ from fractions import Fraction
 from math import comb
 
 from .fields import QQ, BudgetExceeded, FieldError
-from .linalg import mat_mul, nullspace, rank
-from .poly import (
-    LinearForm,
-    Polynomial,
-    coefficient_rows,
-    degree_monomials,
-    esym,
-    esym_almost_top,
-)
+from .linalg import mat_mul, rank
+from .poly import LinearForm, Polynomial, degree_monomials, esym_almost_top
 
 
 # most isolated points enumerate_isolated builds; (2d - 1)!! passes it at d = 7
@@ -39,8 +32,6 @@ ENUMERATION_BUDGET = 10**6
 # m * C(m + d - 2, d - 1), its m factor steps times the count of degree-(m-1)
 # monomials in d variables.  For a random integer plane over Q that admits
 # (6, 24) at 2.36M (4 s on a 2-core host) and refuses (7, 24) at 11.4M (24 s).
-# reciprocal_relation_space makes m such expansions and holds m times that:
-# 19 random integer forms in 5 variables at 2.64M (19 s), 24 refused at 10.1M.
 # The ceiling is intended: (6, 13), 2.0M chart terms and 23 s of expansion on
 # the same host, is the largest chart equations job admitted, and one bound
 # serves every caller, so a value low enough to refuse it would refuse the
@@ -123,20 +114,15 @@ class MembershipVerdict:
 # -- direct membership ----------------------------------------------------
 
 
-def _check_expansion_budget(products, d, m, what):
-    """Refuse before the first product when that many expansions of E_{m-1}
-    at m forms in d variables cost more than EXPANSION_BUDGET term steps:
-    m factor steps times the C(m + d - 2, d - 1) monomials of degree m - 1."""
-    cost = products * m * comb(m + d - 2, d - 1)
+def membership_expansion(T: PlaneMatrix) -> Polynomial:
+    """E_{m-1} evaluated at the column forms of T, a polynomial in d variables,
+    refused before the first product past EXPANSION_BUDGET term steps."""
+    cost = T.m * comb(T.m + T.d - 2, T.d - 1)
     if cost > EXPANSION_BUDGET:
         raise BudgetExceeded(
-            f"{what} costs up to {cost} term steps, over the budget of {EXPANSION_BUDGET}"
+            f"expansion of a {T.d} x {T.m} plane costs up to {cost} term steps, "
+            f"over the budget of {EXPANSION_BUDGET}"
         )
-
-
-def membership_expansion(T: PlaneMatrix) -> Polynomial:
-    """E_{m-1} evaluated at the column forms of T, a polynomial in d variables."""
-    _check_expansion_budget(1, T.d, T.m, f"expansion of a {T.d} x {T.m} plane")
     return esym_almost_top(T.column_forms())
 
 
@@ -537,23 +523,27 @@ def cross_check(d: int, m: int, field, budget: int = ENUMERATION_BUDGET):
 
 
 def reciprocal_relation_space(forms):
-    """Basis of {lambda : sum_j lambda_j / f_j = 0} for nonzero linear forms,
-    computed by clearing denominators to sum_j lambda_j prod_{k!=j} f_k = 0."""
+    """Basis of {lambda : sum_j lambda_j / f_j = 0} for nonzero linear forms.
+
+    Reciprocals of pairwise non-proportional forms are linearly independent,
+    so every relation lives inside the proportionality classes: with
+    f_j = c_j r, each column j after the first column f of its class gives
+    the vector 1 at j and -c_f / c_j at f.
+    """
     forms = list(forms)
     if not forms:
         raise ValueError("empty form list")
-    field = forms[0].field
-    if any(g.is_zero() for g in forms):
-        raise ValueError("zero form present")
-    m, d = len(forms), forms[0].nvars
-    # one expansion per omitted form
-    _check_expansion_budget(m, d, m, f"the relation space of {m} forms in {d} variables")
-    zero = LinearForm(field, [field.zero] * d)
-    # E_{m-1} with f_j replaced by 0 is the one product that omits f_j
-    products = [esym(m - 1, forms[:j] + [zero] + forms[j + 1 :]) for j in range(m)]
-    # one row per monomial, one column per form; a product of nonzero forms
-    # is nonzero, so there is at least one row
-    return nullspace(list(zip(*coefficient_rows(products))), field)
+    field, d = forms[0].field, forms[0].nvars
+    if any(g.field != field or g.nvars != d for g in forms):
+        raise FieldError("forms over different fields or numbers of variables")
+    classes, _, scalars = _proportionality_classes([g.coeffs for g in forms], field)
+    basis = []
+    for j, f in sorted((j, cls[0]) for cls in classes for j in cls[1:]):
+        vec = [field.zero] * len(forms)
+        vec[j] = field.one
+        vec[f] = field.neg(field.mul(scalars[f], field.inv(scalars[j])))
+        basis.append(tuple(vec))
+    return basis
 
 
 def proportionality_class_count(forms) -> int:

@@ -1,8 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from esymfano.fields import QQ, PrimeField
+from esymfano.linalg import nullspace
+from esymfano.poly import LinearForm, coefficient_rows, esym
 
 
 @pytest.fixture
@@ -18,3 +21,41 @@ def qm(rows):
 def fpm(rows, p):
     f = PrimeField(p)
     return tuple(tuple(f.from_int(x) for x in row) for row in rows)
+
+
+def reciprocal_oracle(forms):
+    """The relation space of the reciprocals by expansion: clear denominators
+    to sum_j lambda_j prod_{k != j} f_k = 0, form each omit-one product as
+    E_{m-1} with f_j replaced by a zero form, and take the nullspace of the
+    coefficient matrix (one row per monomial, one column per form)."""
+    forms = list(forms)
+    field, m = forms[0].field, len(forms)
+    zero = LinearForm(field, [field.zero] * forms[0].nvars)
+    products = [esym(m - 1, forms[:j] + [zero] + forms[j + 1 :]) for j in range(m)]
+    return nullspace(list(zip(*coefficient_rows(products))), field)
+
+
+# 24 integer forms in 5 variables: 14 pairwise non-proportional rows (the
+# third entry is 1 and the first entries differ), then 10 scaled repeats that
+# make classes of sizes 4, 3, 2, 2, 2, 2 and 2; relation space dimension 10
+DISTINCT_ROWS = [(j + 1, j * j, 1, j % 3, 2) for j in range(14)]
+REPEATED_ROWS = DISTINCT_ROWS + [
+    tuple(c * x for x in DISTINCT_ROWS[j])
+    for j, c in [
+        (0, 2), (0, -3), (0, -1), (1, 2), (1, -5), (2, 3), (3, 4), (4, -2), (5, 6), (6, 7)
+    ]
+]
+
+
+def reciprocal_relation_holds(rows, vec, rng, points=3):
+    """sum_j vec[j] / f_j(x) == 0 at random rational points x where no form
+    f_j (coefficient row rows[j]) vanishes: a check that expands nothing."""
+    checked = 0
+    while checked < points:
+        x = [Fraction(rng.randint(-50, 50), rng.randint(1, 9)) for _ in rows[0]]
+        values = [sum(Fraction(c) * xi for c, xi in zip(row, x)) for row in rows]
+        if all(values):
+            if sum(Fraction(lam) / v for lam, v in zip(vec, values)) != 0:
+                return False
+            checked += 1
+    return True

@@ -27,7 +27,7 @@ from esymfano.invariants import (
 )
 from esymfano.poly import LinearForm
 
-from conftest import qm
+from conftest import qm, reciprocal_oracle
 
 
 def report(criterion, ok):
@@ -106,10 +106,11 @@ def test_criterion_6_reciprocal_relation_dimension():
                 forms.append(LinearForm(QQ, c))
         basis = reciprocal_relation_space(forms)
         n_classes = proportionality_class_count(forms)
+        ok = ok and basis == reciprocal_oracle(forms)
         ok = ok and len(basis) == n - n_classes
         if n_classes == n:
             ok = ok and basis == []
-    report("6 (relation space dimension = #forms - #classes)", ok)
+    report("6 (relation space dimension = #forms - #classes, basis = expansion oracle)", ok)
 
 
 def test_criterion_7_orbit_chern_generation():

@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,9 +10,11 @@ from pathlib import Path
 import pytest
 
 import esymfano
-from esymfano import fano, invariants
+from esymfano import fano, invariants, poly
 from esymfano.cli import EXIT_PIPE, build_parser, main, parse_matrix_document, InputError
 from esymfano.poly import default_names, format_monomial, grlex_key
+
+from conftest import DISTINCT_ROWS, REPEATED_ROWS, reciprocal_relation_holds
 
 MATCHING_DOC = "Q\n1 0 -1 0\n0 1 0 -1\n"
 REPEAT_DOC = "Q\n1 0 1 0\n0 1 0 1\n"
@@ -581,19 +584,24 @@ class TestOtherCommands:
         assert code == 0
         assert rep["relation_space_dim"] == 0
 
-    def test_reciprocals_budget_exit_2(self, capsys, monkeypatch):
-        # 24 forms in 5 variables: 24 expansions of 24 * C(27, 4) term steps,
-        # 10,108,800 in all, past the budget of 3 * 10**6
+    def test_reciprocals_24_forms_exit_0(self, capsys, monkeypatch):
+        # the basis comes from the proportionality classes, so no size of
+        # input expands a product or meets a budget
         def refuse(r, polys):
-            raise AssertionError("product formed past the budget")
+            raise AssertionError("reciprocals expanded a product")
 
-        monkeypatch.setattr(fano, "esym", refuse)
-        doc = "Q\n" + "".join(f"{j + 1} {j * j} 1 {j % 3} 2\n" for j in range(24))
-        code, out, err = run(capsys, ["reciprocals"], stdin=doc, monkeypatch=monkeypatch)
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "10108800 term steps" in err and "budget of 3000000" in err
+        monkeypatch.setattr(poly, "esym", refuse)
+        monkeypatch.setattr(fano, "esym", refuse, raising=False)
+        doc = "Q\n" + "".join(" ".join(map(str, row)) + "\n" for row in REPEATED_ROWS)
+        code, out, _ = run(
+            capsys, ["--json", "reciprocals"], stdin=doc, monkeypatch=monkeypatch
+        )
+        rep = json.loads(out)
+        assert code == 0
+        assert rep["num_forms"] == 24 and rep["num_classes"] == len(DISTINCT_ROWS)
+        assert rep["relation_space_dim"] == rep["num_forms"] - rep["num_classes"]
+        rng = random.Random(7)
+        assert all(reciprocal_relation_holds(REPEATED_ROWS, vec, rng) for vec in rep["basis"])
 
     def test_invariants_builtin(self, capsys):
         code, out, _ = run(capsys, ["--json", "invariants", "z2-example"])

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from esymfano import fano, linalg
+from esymfano import fano, linalg, poly
 from esymfano.fano import (
     BudgetExceeded,
     PartitionCertificate,
@@ -28,11 +28,17 @@ from esymfano.fano import (
     stratum_dimension,
     verify_certificate,
 )
-from esymfano.fields import QQ, PrimeField
+from esymfano.fields import QQ, FieldError, PrimeField
 from esymfano.linalg import rank
 from esymfano.poly import LinearForm, Polynomial, elem_sym, poly_eval
 
-from conftest import qm
+from conftest import (
+    DISTINCT_ROWS,
+    REPEATED_ROWS,
+    qm,
+    reciprocal_oracle,
+    reciprocal_relation_holds,
+)
 
 
 def plane(rows, field=QQ):
@@ -515,28 +521,51 @@ class TestReciprocalRelations:
 
     def test_zero_form_rejected(self):
         with pytest.raises(ValueError):
+            reciprocal_relation_space([])
+        with pytest.raises(ValueError, match="zero form present"):
             reciprocal_relation_space([self.lf(0, 0)])
         with pytest.raises(ValueError):
             proportionality_class_count([self.lf(1, 0), self.lf(0, 0)])
+        # a mix of fields or of variable counts is refused, not split into
+        # directions of different lengths
+        with pytest.raises(FieldError):
+            reciprocal_relation_space([self.lf(1, 0), self.lf(1, 0, 0)])
+        with pytest.raises(FieldError):
+            reciprocal_relation_space([self.lf(1, 0), LinearForm(PrimeField(7), (1, 0))])
 
-    def test_budget_is_exact(self, monkeypatch):
-        # 3 forms in 2 variables: 3 expansions of 3 * C(3, 1) = 9 term steps
-        forms = [self.lf(1, 0), self.lf(0, 1), self.lf(1, 1)]
-        monkeypatch.setattr(fano, "EXPANSION_BUDGET", 27)
-        assert reciprocal_relation_space(forms) == []
-        monkeypatch.setattr(fano, "EXPANSION_BUDGET", 26)
-        monkeypatch.setattr(fano, "esym", None)  # refused before the first product
-        with pytest.raises(BudgetExceeded, match="27 term steps, over the budget of 26"):
-            reciprocal_relation_space(forms)
+    def test_24_forms_without_expansion(self, monkeypatch, rng):
+        def refuse(r, polys):
+            raise AssertionError("reciprocal_relation_space expanded a product")
+
+        monkeypatch.setattr(poly, "esym", refuse)
+        monkeypatch.setattr(fano, "esym", refuse, raising=False)
+        forms = [LinearForm(QQ, tuple(map(Fraction, row))) for row in REPEATED_ROWS]
+        basis = reciprocal_relation_space(forms)
+        assert proportionality_class_count(forms) == len(DISTINCT_ROWS)
+        assert len(basis) == len(REPEATED_ROWS) - len(DISTINCT_ROWS)
+        assert all(reciprocal_relation_holds(REPEATED_ROWS, vec, rng) for vec in basis)
 
     def test_dimension_law_random(self, rng):
-        for _ in range(200):
-            d = rng.randint(1, 3)
-            n = rng.randint(1, 5)
-            forms = []
-            while len(forms) < n:
-                c = tuple(Fraction(rng.randint(-2, 2)) for _ in range(d))
-                if any(x != 0 for x in c):
-                    forms.append(LinearForm(QQ, c))
-            basis = reciprocal_relation_space(forms)
-            assert len(basis) == n - proportionality_class_count(forms)
+        """Equal, value for value and in order, to the expansion oracle over
+        Q and F_p; half the draws repeat an earlier form times a scalar, so
+        classes of three and more columns occur."""
+        big_classes = 0
+        for field in [QQ] + [PrimeField(p) for p in (2, 3, 5, 7, 101)]:
+            for _ in range(60):
+                d, n = rng.randint(1, 4), rng.randint(1, 7)
+                forms = []
+                while len(forms) < n:
+                    if forms and rng.random() < 0.5:
+                        c = field.from_int(rng.randint(1, 50))
+                        coeffs = [field.mul(c, x) for x in rng.choice(forms).coeffs]
+                    else:
+                        coeffs = [field.from_int(rng.randint(-3, 3)) for _ in range(d)]
+                    if any(coeffs):
+                        forms.append(LinearForm(field, coeffs))
+                basis = reciprocal_relation_space(forms)
+                assert basis == reciprocal_oracle(forms)
+                assert len(basis) == n - proportionality_class_count(forms)
+                # each vector is nonzero first at its class's first column
+                firsts = Counter(next(i for i, x in enumerate(v) if x) for v in basis)
+                big_classes += sum(k >= 2 for k in firsts.values())
+        assert big_classes > 0
