@@ -133,21 +133,35 @@ def is_member_direct(T: PlaneMatrix) -> bool:
 # -- structural classification --------------------------------------------
 
 
-def _proportionality_classes(columns, field):
+def _normalised(col, field):
+    """(col / c, c) for c the first nonzero entry of col."""
+    c = next(filter(None, col), None)
+    if c is None:
+        raise ValueError("zero form present")
+    inv = field.inv(c)
+    return tuple(field.mul(y, inv) for y in col), c
+
+
+def _proportionality_classes(columns, field, memo=None):
     """(classes, representatives, scalars) for nonzero columns.
 
     classes lists the column indices sharing one direction, ordered by first
     index; representatives[i] is that direction with first nonzero entry 1;
     scalars[j] is c_j with columns[j] = c_j * representative of j's class.
+    memo, if given, maps each column tuple already seen to its _normalised
+    pair and gains the columns not yet in it.
     """
     by_rep = {}
     scalars = []
     for j, col in enumerate(columns):
-        c = next(filter(None, col), None)
-        if c is None:
-            raise ValueError("zero form present")
-        inv = field.inv(c)
-        by_rep.setdefault(tuple(field.mul(y, inv) for y in col), []).append(j)
+        if memo is None:
+            rep, c = _normalised(col, field)
+        else:
+            known = memo.get(col)
+            if known is None:
+                known = memo[col] = _normalised(col, field)
+            rep, c = known
+        by_rep.setdefault(rep, []).append(j)
         scalars.append(c)
     return tuple(map(tuple, by_rep.values())), tuple(by_rep), tuple(scalars)
 
@@ -159,11 +173,12 @@ def _reciprocal_sum(cls, scalars, field):
     return total
 
 
-def classify(T: PlaneMatrix) -> MembershipVerdict:
+def classify(T: PlaneMatrix, memo=None) -> MembershipVerdict:
     """Decide membership from the column pattern of T alone: two zero
     columns, or no zero column and classes of at least two proportional
     columns whose reciprocal sums vanish.  Expands nothing; comparing with
-    is_member_direct is the caller's independent check."""
+    is_member_direct is the caller's independent check.  A memo dict kept
+    across the planes of one field normalises each distinct column once."""
     field = T.field
     columns = list(zip(*T.rows))
     zero_cols = [j for j, col in enumerate(columns) if not any(col)]
@@ -172,7 +187,7 @@ def classify(T: PlaneMatrix) -> MembershipVerdict:
     if zero_cols:
         # the single surviving product of the m-1 nonzero forms cannot vanish
         return MembershipVerdict(False)
-    classes, reps, scalars = _proportionality_classes(columns, field)
+    classes, reps, scalars = _proportionality_classes(columns, field, memo)
     if not all(
         len(cls) >= 2 and _reciprocal_sum(cls, scalars, field) == field.zero
         for cls in classes
@@ -433,8 +448,9 @@ def gaussian_binomial(m: int, d: int, p: int) -> int:
 
 def enumerate_subspaces(d: int, m: int, field, budget: int = ENUMERATION_BUDGET):
     """Every d-subspace of F_p^m exactly once as its RREF matrix, ordered
-    lexicographically by pivot set then by the free entries.  The planes skip
-    PlaneMatrix's checks: d pivot columns forming the identity give rank d."""
+    lexicographically by pivot set then by the free entries in row-major
+    order.  The planes skip PlaneMatrix's checks: d pivot columns forming the
+    identity give rank d."""
     if not 1 <= d <= m:
         raise ValueError(f"need 1 <= d <= m, got d={d}, m={m}")
     p = field.characteristic
@@ -446,23 +462,28 @@ def enumerate_subspaces(d: int, m: int, field, budget: int = ENUMERATION_BUDGET)
         raise BudgetExceeded(
             f"{total} subspaces exceed the budget of {budget}; raise --budget"
         )
-    elements = [field.from_int(i) for i in range(p)]
+    # d = m has no free entry; for d < m, p <= [m choose d]_p bounds the list
+    elements = tuple(map(field.from_int, range(p))) if d < m else ()
+    zero, one = (field.zero,), (field.one,)
     for pivots in itertools.combinations(range(m), d):
-        free_positions = []
-        for i in range(d):
-            for j in range(m):
-                if j > pivots[i] and j not in pivots:
-                    free_positions.append((i, j))
-        for values in itertools.product(elements, repeat=len(free_positions)):
-            rows = [[field.zero] * m for _ in range(d)]
-            for i in range(d):
-                rows[i][pivots[i]] = field.one
-            for (i, j), v in zip(free_positions, values):
-                rows[i][j] = v
-            T = object.__new__(PlaneMatrix)
-            object.__setattr__(T, "field", field)
-            object.__setattr__(T, "rows", tuple(map(tuple, rows)))
-            yield T
+        # row i runs over its free entries, the last fastest; the rows vary
+        # independently, so a plane is one pick per row.  Row 0 has the most
+        # free entries and is never held, so a later row holds at most
+        # sqrt([m choose d]_p) picks
+        rows = [
+            itertools.product(*[
+                one if j == c else zero if j < c or j in pivots else elements
+                for j in range(m)
+            ])
+            for c in pivots
+        ]
+        later = [list(row) for row in rows[1:]]
+        for first in rows[0]:
+            for rest in itertools.product(*later):
+                T = object.__new__(PlaneMatrix)
+                object.__setattr__(T, "field", field)
+                object.__setattr__(T, "rows", (first, *rest))
+                yield T
 
 
 def _planes_with_direct(d, m, field, budget):
@@ -491,9 +512,10 @@ def cross_check(d: int, m: int, field, budget: int = ENUMERATION_BUDGET):
     examples = []  # the rows of the first five mismatching planes
     cert_hist = {"zero_pair": 0, "partition": 0}
     class_count_hist = {}
+    memo = {}  # column -> its normalised pair, at most p^d entries
     for T, direct in _planes_with_direct(d, m, field, budget):
         total += 1
-        verdict = classify(T)
+        verdict = classify(T, memo)
         if verdict.member != direct:
             mismatches += 1
             if len(examples) < 5:

@@ -35,8 +35,8 @@ def flip_classify(monkeypatch):
     (a flipped non-member gets a bogus zero-pair certificate)."""
     original = fano.classify
 
-    def flipped(T):
-        if original(T).member:
+    def flipped(T, *args):
+        if original(T, *args).member:
             return fano.MembershipVerdict(False)
         return fano.MembershipVerdict(True, fano.ZeroPair(0, 1))
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 import tracemalloc
 from collections import Counter
@@ -444,6 +445,65 @@ class TestBruteForce:
         assert expected
         assert brute_force_members(d, m, field) == expected
 
+    def test_square_enumeration_builds_no_field_elements(self, monkeypatch):
+        # d = m leaves no free entry; building the p elements anyway would
+        # take minutes and gigabytes at p = 2^31 - 1
+        field = PrimeField(2**31 - 1)
+        calls = []
+        original = field.from_int
+
+        def counted(n):
+            calls.append(n)
+            if len(calls) > 1000:
+                raise AssertionError("enumeration built the field's elements")
+            return original(n)
+
+        monkeypatch.setattr(field, "from_int", counted)
+        planes = list(enumerate_subspaces(3, 3, field))
+        assert [T.rows for T in planes] == [((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+
+    @pytest.mark.parametrize("d,m,p", [(1, 4, 5), (2, 4, 3), (3, 5, 2), (2, 2, 3), (4, 4, 2)])
+    def test_enumeration_order(self, d, m, p):
+        # every d x m matrix over F_p that is already in RREF, sorted by
+        # pivot set, then by the entries right of each pivot outside the
+        # pivot columns, read row by row
+        def pivots(rows):
+            return tuple(next(j for j, x in enumerate(row) if x) for row in rows if any(row))
+
+        def in_rref(rows):
+            piv = pivots(rows)
+            return (
+                len(piv) == d
+                and list(piv) == sorted(set(piv))
+                and all(rows[i][c] == 1 for i, c in enumerate(piv))
+                and all(rows[k][c] == 0 for i, c in enumerate(piv) for k in range(d) if k != i)
+            )
+
+        def key(rows):
+            piv = pivots(rows)
+            free = tuple(
+                rows[i][j] for i in range(d) for j in range(piv[i] + 1, m) if j not in piv
+            )
+            return piv, free
+
+        flat = itertools.product(range(p), repeat=d * m)
+        matrices = (tuple(tuple(e[i * m : (i + 1) * m]) for i in range(d)) for e in flat)
+        expected = sorted(filter(in_rref, matrices), key=key)
+        assert len(expected) == gaussian_binomial(m, d, p)
+        assert [T.rows for T in enumerate_subspaces(d, m, PrimeField(p))] == expected
+
+    def test_enumeration_holds_no_first_row_list(self):
+        # (1, 11, 3) has 88,573 planes, 59,049 of them with pivot 0; as a list
+        # of 11-tuples that first row alone would take about 8 MB
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in enumerate_subspaces(1, 11, PrimeField(3)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == 88573
+        assert peak < 2 * 10**6
+
     def test_enumeration_unique_rref(self):
         f2 = PrimeField(2)
         seen = set()
@@ -489,6 +549,26 @@ class TestCrossCheck:
         assert cross_check(2, 6, f3)["mismatches"] == 0
         assert len(expanded) == 990
         assert set(expanded[:495]) == set(expanded[495:])
+
+    @pytest.mark.parametrize("d,m,p", [(2, 5, 5), (3, 5, 3)])
+    def test_memo_changes_no_verdict(self, d, m, p, monkeypatch):
+        # every plane goes through fano.classify, with one memo for the whole
+        # enumeration, and gets the verdict a memo-free call gives
+        memos = []
+        original = fano.classify
+
+        def compared(T, *args):
+            memos.extend(args)
+            verdict = original(T, *args)
+            assert verdict == original(T)
+            return verdict
+
+        monkeypatch.setattr(fano, "classify", compared)
+        r = cross_check(d, m, PrimeField(p))
+        assert r["mismatches"] == 0 and r["members"] > 0
+        assert len(memos) == r["total"] == gaussian_binomial(m, d, p)
+        assert all(memo is memos[0] for memo in memos)
+        assert 0 < len(memos[0]) < p**d
 
     def test_certificate_soundness(self):
         f3 = PrimeField(3)
