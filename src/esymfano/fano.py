@@ -134,42 +134,47 @@ def is_member_direct(T: PlaneMatrix) -> bool:
 
 
 def _normalised(col, field):
-    """(col / c, c) for c the first nonzero entry of col."""
+    """(col / c, c, 1 / c) for c the first nonzero entry of col."""
     c = next(filter(None, col), None)
     if c is None:
         raise ValueError("zero form present")
     inv = field.inv(c)
-    return tuple(field.mul(y, inv) for y in col), c
+    return tuple(field.mul(y, inv) for y in col), c, inv
 
 
 def _proportionality_classes(columns, field, memo=None):
-    """(classes, representatives, scalars) for nonzero columns.
+    """(classes, representatives, scalars, inverses) for nonzero columns.
 
     classes lists the column indices sharing one direction, ordered by first
     index; representatives[i] is that direction with first nonzero entry 1;
-    scalars[j] is c_j with columns[j] = c_j * representative of j's class.
-    memo, if given, maps each column tuple already seen to its _normalised
-    pair and gains the columns not yet in it.
+    scalars[j] is c_j with columns[j] = c_j * representative of j's class,
+    and inverses[j] is 1 / c_j.  memo, if given, maps each column tuple
+    already seen to its _normalised triple and gains the columns not yet in
+    it.
     """
     by_rep = {}
     scalars = []
+    inverses = []
     for j, col in enumerate(columns):
         if memo is None:
-            rep, c = _normalised(col, field)
+            rep, c, inv = _normalised(col, field)
         else:
             known = memo.get(col)
             if known is None:
                 known = memo[col] = _normalised(col, field)
-            rep, c = known
+            rep, c, inv = known
         by_rep.setdefault(rep, []).append(j)
         scalars.append(c)
-    return tuple(map(tuple, by_rep.values())), tuple(by_rep), tuple(scalars)
+        inverses.append(inv)
+    classes = tuple(map(tuple, by_rep.values()))
+    return classes, tuple(by_rep), tuple(scalars), tuple(inverses)
 
 
-def _reciprocal_sum(cls, scalars, field):
+def _class_sum(cls, values, field):
+    """The sum of values[j] over the indices j of one class."""
     total = field.zero
     for j in cls:
-        total = field.add(total, field.inv(scalars[j]))
+        total = field.add(total, values[j])
     return total
 
 
@@ -187,9 +192,9 @@ def classify(T: PlaneMatrix, memo=None) -> MembershipVerdict:
     if zero_cols:
         # the single surviving product of the m-1 nonzero forms cannot vanish
         return MembershipVerdict(False)
-    classes, reps, scalars = _proportionality_classes(columns, field, memo)
+    classes, reps, scalars, inverses = _proportionality_classes(columns, field, memo)
     if not all(
-        len(cls) >= 2 and _reciprocal_sum(cls, scalars, field) == field.zero
+        len(cls) >= 2 and _class_sum(cls, inverses, field) == field.zero
         for cls in classes
     ):
         return MembershipVerdict(False)
@@ -383,8 +388,9 @@ def sample_member(classes, scalars, d: int, field=QQ, seed: int = 0) -> PlaneMat
         raise ValueError("need one scalar per column")
     if any(c == field.zero for c in scalars):
         raise ValueError("scalars must be nonzero")
+    inverses = [field.inv(c) for c in scalars]
     for cls in classes:
-        if _reciprocal_sum(cls, scalars, field) != field.zero:
+        if _class_sum(cls, inverses, field) != field.zero:
             raise ValueError(f"reciprocal sum over class {cls} is nonzero")
     k = len(classes)
     if not 1 <= d <= k:
@@ -558,16 +564,18 @@ def reciprocal_relation_space(forms):
     field, d = forms[0].field, forms[0].nvars
     if any(g.field != field or g.nvars != d for g in forms):
         raise FieldError("forms over different fields or numbers of variables")
-    classes, _, scalars = _proportionality_classes([g.coeffs for g in forms], field)
+    classes, _, scalars, inverses = _proportionality_classes(
+        [g.coeffs for g in forms], field
+    )
     basis = []
     for j, f in sorted((j, cls[0]) for cls in classes for j in cls[1:]):
         vec = [field.zero] * len(forms)
         vec[j] = field.one
-        vec[f] = field.neg(field.mul(scalars[f], field.inv(scalars[j])))
+        vec[f] = field.neg(field.mul(scalars[f], inverses[j]))
         basis.append(tuple(vec))
     return basis
 
 
 def proportionality_class_count(forms) -> int:
-    classes, _, _ = _proportionality_classes([g.coeffs for g in forms], forms[0].field)
+    classes, _, _, _ = _proportionality_classes([g.coeffs for g in forms], forms[0].field)
     return len(classes)

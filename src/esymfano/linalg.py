@@ -2,46 +2,83 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd, lcm
+
+
+def _primitive(row):
+    """An integer row divided by the gcd of its entries."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _echelon(rows, field, reduced):
+    """(mat, pivots): the rows in echelon form on Python ints, pivot row k of
+    mat holding a nonzero entry in column pivots[k] and the zero rows last.
+
+    Over Q each row is scaled to integers by the lcm of its denominators;
+    over F_p the residues are used as they are.  Scaling a row keeps the row
+    space.  Each step sets row_i <- piv * row_i - f * row_r, piv the pivot
+    and f the entry of row_i in its column, then reduces row_i modulo p, or
+    over Z divides it by the gcd of its entries, which keeps the entries
+    small.  The forward pass clears each pivot column below the pivot; with
+    reduced it clears it above too.  No field method is called per cell.
+    """
+    p = field.characteristic
+    if p:
+        mat = [list(r) for r in rows]
+    else:
+        mat = []
+        for r in rows:
+            den = lcm(*(x.denominator for x in r))
+            mat.append(_primitive([x.numerator * (den // x.denominator) for x in r]))
+    n = len(mat)
+    pivots = []
+    for c in range(len(mat[0]) if mat else 0):
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, n) if mat[i][c]), None)
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        prow = mat[r]
+        piv = prow[c]
+        for i in range(0 if reduced else r + 1, n):
+            f = mat[i][c]
+            if f and i != r:
+                if p:
+                    mat[i] = [(piv * x - f * y) % p for x, y in zip(mat[i], prow)]
+                else:
+                    mat[i] = _primitive([piv * x - f * y for x, y in zip(mat[i], prow)])
+        pivots.append(c)
+        if r + 1 == n:
+            break
+    return mat, pivots
+
 
 def rref(rows, field):
     """Reduced row echelon form.
 
-    Returns (rref rows as list of tuples, pivot column list).  Exact; no
-    pivoting heuristics are needed because the arithmetic is exact.
+    Returns (rref rows as list of tuples, pivot column list).  The
+    elimination runs on integer rows (_echelon); each pivot row is divided
+    by its pivot at the end and the zero rows are field.zero.
     """
-    mat = [list(r) for r in rows]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
-    zero = field.zero
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(mat)):
-            if mat[i][c] != zero:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = field.inv(mat[r][c])
-        mat[r] = [field.mul(x, inv) for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != zero:
-                factor = mat[i][c]
-                mat[i] = [
-                    field.sub(x, field.mul(factor, y)) for x, y in zip(mat[i], mat[r])
-                ]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return [tuple(row) for row in mat], pivots
+    mat, pivots = _echelon(rows, field, True)
+    p = field.characteristic
+    red = []
+    for row, c in zip(mat, pivots):
+        if p:
+            inv = pow(row[c], -1, p)
+            red.append(tuple(x * inv % p for x in row))
+        else:
+            red.append(tuple(Fraction(x, row[c]) for x in row))
+    if mat:
+        red += [(field.zero,) * len(mat[0])] * (len(mat) - len(pivots))
+    return red, pivots
 
 
 def rank(rows, field) -> int:
-    return len(rref(rows, field)[1])
+    """The number of pivots of the forward elimination pass."""
+    return len(_echelon(rows, field, False)[1])
 
 
 def nullspace(rows, field):

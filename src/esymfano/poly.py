@@ -205,7 +205,8 @@ def esym(r: int, polys) -> Polynomial:
     Each result key unpacks in one call, a memoryview cast of its bytes to
     w-byte unsigned ints.  Over F_p the ints are residues reduced once per
     factor step; over Q the loop runs over Z on D g_j, D the lcm of all
-    denominators, and divides by D^r, as E_r(D g) = D^r E_r(g).
+    denominators, and divides by D^r, as E_r(D g) = D^r E_r(g).  Over Z the
+    zero coefficients are dropped once, when the result is unpacked.
     """
     polys = list(polys)
     m = len(polys)
@@ -221,7 +222,6 @@ def esym(r: int, polys) -> Polynomial:
                 f"vs {g.field}/{g.nvars} vars"
             )
     p = field.characteristic
-    reduce = (lambda c: c % p) if p else int  # over Q the ints stay as they are
     D = 1 if p else lcm(*(c.denominator for g in polys for c in g.terms.values()))
     base = 1 + sum(max(map(sum, g.terms), default=0) for g in polys)
     w = next((w for w in (1, 2, 4, 8) if base <= 256**w), None)
@@ -240,7 +240,9 @@ def esym(r: int, polys) -> Polynomial:
             for a, ca in e[k - 1].items():
                 for b, cb in g:
                     acc[a + b] = acc.get(a + b, 0) + ca * cb
-            e[k] = {key: c for key, c in zip(acc, map(reduce, acc.values())) if c}
+            if p:  # p.__rmod__(c) is c % p
+                acc = {key: c for key, c in zip(acc, map(p.__rmod__, acc.values())) if c}
+            e[k] = acc
         if r - m + j >= 0:
             e[r - m + j] = None
     scale, nbytes, code = D**r, nvars * w, "BHIQ"[w.bit_length() - 1]
@@ -250,6 +252,7 @@ def esym(r: int, polys) -> Polynomial:
             c if p else Fraction(c, scale)
         )
         for key, c in e[r].items()
+        if c
     }
     return out
 

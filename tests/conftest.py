@@ -35,6 +35,42 @@ def reciprocal_oracle(forms):
     return nullspace(list(zip(*coefficient_rows(products))), field)
 
 
+def rref_oracle(rows, field):
+    """Gauss-Jordan elimination through the field's own operations, one
+    field.inv per pivot and a field.mul and field.sub per cell: the oracle
+    that linalg.rref and linalg.rank, which eliminate on integer rows, are
+    checked against.  Returns (rows as tuples, pivot columns)."""
+    mat = [list(r) for r in rows]
+    if not mat:
+        return [], []
+    ncols = len(mat[0])
+    zero = field.zero
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, len(mat)):
+            if mat[i][c] != zero:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        inv = field.inv(mat[r][c])
+        mat[r] = [field.mul(x, inv) for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != zero:
+                factor = mat[i][c]
+                mat[i] = [
+                    field.sub(x, field.mul(factor, y)) for x, y in zip(mat[i], mat[r])
+                ]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return [tuple(row) for row in mat], pivots
+
+
 # 24 integer forms in 5 variables: 14 pairwise non-proportional rows (the
 # third entry is 1 and the first entries differ), then 10 scaled repeats that
 # make classes of sizes 4, 3, 2, 2, 2, 2 and 2; relation space dimension 10

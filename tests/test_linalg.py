@@ -2,10 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from esymfano.fields import QQ, PrimeField
+from esymfano.fields import QQ, PrimeField, RationalField
 from esymfano.linalg import is_invertible, mat_mul, nullspace, rank, rref
 
-from conftest import qm
+from conftest import qm, rref_oracle
 
 
 def test_rref_pivots():
@@ -94,3 +94,80 @@ def test_plain_int_entries_over_q_stay_exact():
     assert rank([[3, 5, 1], [9, 15, 3]], QQ) == 1
     assert not is_invertible([[3, 5], [9, 15]], QQ)
     assert nullspace([[3, 1], [6, 2]], QQ) == [(Fraction(-1, 3), 1)]
+
+
+ORACLE_FIELDS = [QQ] + [PrimeField(p) for p in (2, 3, 5, 7, 101, 2**31 - 1)]
+
+
+def deficient_matrix(field, rng):
+    """0-6 rows of 1-8 field elements, built rank deficient: random
+    combinations of at most min(rows, cols) - 1 basis rows (or of none),
+    some rows repeated and some zero, in a shuffled order."""
+    def scalar():
+        if field is QQ:
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        return field.from_int(rng.randrange(field.p))
+
+    nrows, ncols = rng.randint(0, 6), rng.randint(1, 8)
+    nbasis = rng.randint(0, max(0, min(nrows, ncols) - 1))
+    basis = [[scalar() for _ in range(ncols)] for _ in range(nbasis)]
+    rows = []
+    while len(rows) < nrows:
+        kind = rng.random()
+        if kind < 0.15 or not basis:
+            rows.append((field.zero,) * ncols)
+        elif kind < 0.3 and rows:
+            rows.append(rng.choice(rows))
+        else:
+            row = [field.zero] * ncols
+            for b in basis:
+                c = scalar()
+                row = [field.add(x, field.mul(c, y)) for x, y in zip(row, b)]
+            rows.append(tuple(row))
+    rng.shuffle(rows)
+    return rows
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+def test_rref_and_rank_match_the_field_op_oracle(field, rng):
+    """Elimination on integer rows gives the field-op Gauss-Jordan answer,
+    value for value and in scalar type, and rank is its pivot count."""
+    for _ in range(300):
+        rows = deficient_matrix(field, rng)
+        red, pivots = rref(rows, field)
+        want_red, want_pivots = rref_oracle(rows, field)
+        assert (red, pivots) == (want_red, want_pivots)
+        assert [type(x) for row in red for x in row] == [
+            type(x) for row in want_red for x in row
+        ]
+        assert rank(rows, field) == len(want_pivots)
+
+
+def test_hilbert_matrix_has_full_rank():
+    hilbert = [[Fraction(1, i + j + 1) for j in range(6)] for i in range(6)]
+    assert rank(hilbert, QQ) == 6
+    assert rref(hilbert, QQ) == rref_oracle(hilbert, QQ)
+    identity6 = list(qm([[int(i == j) for j in range(6)] for i in range(6)]))
+    assert rref(hilbert, QQ) == (identity6, list(range(6)))
+
+
+def test_rank_and_rref_call_no_field_method_per_cell(monkeypatch):
+    """rank and rref run on ints: with the fields' add, sub, mul and inv
+    made to raise, both still answer as the oracle did beforehand."""
+    cases = [
+        (QQ, qm([[1, 2, 3, 4], [2, 4, 6, 8], ["1/2", 0, "-3/7", 5], [0, 0, 0, 0]])),
+        (QQ, [[Fraction(1, i + j + 1) for j in range(6)] for i in range(6)]),
+        (PrimeField(7), [[1, 2, 3], [2, 4, 6], [0, 5, 1]]),
+        (PrimeField(2**31 - 1), [[3, 1, 4, 1], [5, 9, 2, 6], [8, 10, 6, 7]]),
+    ]
+    expected = [rref_oracle(rows, field) for field, rows in cases]
+
+    def refuse(*args):
+        raise AssertionError("field method called")
+
+    for cls in (RationalField, PrimeField):
+        for name in ("add", "sub", "mul", "inv"):
+            monkeypatch.setattr(cls, name, refuse)
+    for (field, rows), want in zip(cases, expected):
+        assert rref(rows, field) == want
+        assert rank(rows, field) == len(want[1])
