@@ -280,6 +280,16 @@ def fano_chart_equations(d: int, m: int, field=QQ):
         raise BudgetExceeded(
             f"{count} chart equations exceed the budget of {EXPANSION_BUDGET}"
         )
+    # for d = 1 both bounds pass any m (m terms, one equation), yet each of
+    # the m terms is a key of m exponent cells that the m factor steps
+    # rewrite, so the work grows as m^3: (1, 800) takes 2 s and (1, 1732),
+    # the largest admitted, 28 s.  Refuse on the m^2 cells; for d >= 2 the
+    # bounds above keep the m(d(m - d) + d) cells at most 900, at (10, 15)
+    if d == 1 and m * m > EXPANSION_BUDGET:
+        raise BudgetExceeded(
+            f"chart expansion of {m} terms in {m} variables ({m * m} exponent cells) "
+            f"exceeds the budget of {EXPANSION_BUDGET}"
+        )
     na = d * (m - d)
     ntot = na + d  # unknowns first, then the s variables
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement, compress
 from math import lcm
 from operator import lshift
 from sys import byteorder
@@ -88,8 +88,11 @@ class Polynomial:
         return len(degs) <= 1
 
     def sorted_terms(self):
-        """Terms in graded-lex order, the canonical iteration order."""
-        return [(e, self.terms[e]) for e in sorted(self.terms, key=grlex_key)]
+        """Terms in graded-lex order, the canonical iteration order: a lex
+        sort, then a stable sort by degree, so no Python key runs per term."""
+        exps = sorted(self.terms)
+        exps.sort(key=sum)
+        return list(zip(exps, map(self.terms.__getitem__, exps)))
 
     def coefficient(self, exps):
         return self.terms.get(tuple(exps), self.field.zero)
@@ -202,11 +205,13 @@ def esym(r: int, polys) -> Polynomial:
     a slot of w bytes, the smallest w in {1, 2, 4, 8} with base <= 256**w,
     base = 1 + sum_j deg(g_j).  No exponent of any E_k reaches base, so
     adding keys never carries.  Exponents e pack to sum_v e_v << 8*w*v.
-    Each result key unpacks in one call, a memoryview cast of its bytes to
-    w-byte unsigned ints.  Over F_p the ints are residues reduced once per
-    factor step; over Q the loop runs over Z on D g_j, D the lcm of all
-    denominators, and divides by D^r, as E_r(D g) = D^r E_r(g).  Over Z the
-    zero coefficients are dropped once, when the result is unpacked.
+    Each result key unpacks in one call: its little-endian bytes for w = 1,
+    else a memoryview cast of its bytes to w-byte unsigned ints.  Over F_p
+    the ints are residues reduced once per factor step, so none is zero at
+    the end.  Over Q the loop runs over Z on D g_j, D the lcm of all
+    denominators, and divides by D^r, as E_r(D g) = D^r E_r(g): the zero
+    coefficients are dropped once, at the unpack, and each distinct nonzero
+    int becomes one Fraction c / D^r, shared by every term that has it.
     """
     polys = list(polys)
     m = len(polys)
@@ -245,15 +250,19 @@ def esym(r: int, polys) -> Polynomial:
             e[k] = acc
         if r - m + j >= 0:
             e[r - m + j] = None
-    scale, nbytes, code = D**r, nvars * w, "BHIQ"[w.bit_length() - 1]
+    terms = e[r].items()
+    if not p:  # one Fraction per distinct coefficient; the zeros go here
+        frac = {c: Fraction(c, D**r) for c in set(e[r].values()) if c}
+        terms = [(key, frac[c]) for key, c in terms if c]
     out = Polynomial(field, nvars)
-    out.terms = {
-        tuple(memoryview(key.to_bytes(nbytes, byteorder)).cast(code)): (
-            c if p else Fraction(c, scale)
-        )
-        for key, c in e[r].items()
-        if c
-    }
+    if w == 1:  # one byte per variable: the key's bytes are the exponents
+        out.terms = {tuple(key.to_bytes(nvars, "little")): c for key, c in terms}
+    else:
+        nbytes, code = nvars * w, "HIQ"[w.bit_length() - 2]
+        out.terms = {
+            tuple(memoryview(key.to_bytes(nbytes, byteorder)).cast(code)): c
+            for key, c in terms
+        }
     return out
 
 
@@ -331,42 +340,33 @@ def default_names(nvars, stem="x"):
     return [f"{stem}{i+1}" for i in range(nvars)]
 
 
+def _power(name, e):
+    return name if e == 1 else f"{name}^{e}"
+
+
 def _factors(exps, names) -> str:
     """The product of the named variables to their exponents; '' for 1."""
-    factors = []
-    for name, e in zip(names, exps):
-        if e == 1:
-            factors.append(name)
-        elif e > 1:
-            factors.append(f"{name}^{e}")
-    return "*".join(factors)
+    return "*".join(map(_power, compress(names, exps), compress(exps, exps)))
 
 
 def format_polynomial(p: Polynomial, names=None) -> str:
+    """Terms in graded-lex order, a coefficient 1 left out and each sign
+    moved to the operator in front of its term: '1/2 + 2*x1 - x2^3'."""
     if p.is_zero():
         return "0"
     if names is None:
         names = default_names(p.nvars)
-    field = p.field
-    parts = []
+    fmt = p.field.fmt
+    # with no exponent above 1 a monomial is its variables' names joined
+    squarefree = max(chain.from_iterable(p.terms), default=0) < 2
+    pieces = []
     for exps, coeff in p.sorted_terms():
-        mono = _factors(exps, names)
-        cs = field.fmt(coeff)
-        if not mono:
-            parts.append(cs)
-        elif cs == "1":
-            parts.append(mono)
-        elif cs == "-1":
-            parts.append("-" + mono)
-        else:
-            parts.append(cs + "*" + mono)
-    out = parts[0]
-    for part in parts[1:]:
-        if part.startswith("-"):
-            out += " - " + part[1:]
-        else:
-            out += " + " + part
-    return out
+        mono = "*".join(compress(names, exps)) if squarefree else _factors(exps, names)
+        cs = fmt(coeff)
+        sign, cs = (" - ", cs[1:]) if cs[0] == "-" else (" + ", cs)
+        pieces += sign, (cs + "*" + mono if mono and cs != "1" else mono or cs)
+    pieces[0] = "-" if pieces[0] == " - " else ""
+    return "".join(pieces)
 
 
 def format_monomial(exps, names=None) -> str:

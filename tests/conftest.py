@@ -5,7 +5,7 @@ import pytest
 
 from esymfano.fields import QQ, PrimeField
 from esymfano.linalg import nullspace
-from esymfano.poly import LinearForm, coefficient_rows, esym
+from esymfano.poly import LinearForm, coefficient_rows, default_names, esym, grlex_key
 
 
 @pytest.fixture
@@ -69,6 +69,42 @@ def rref_oracle(rows, field):
         if r == len(mat):
             break
     return [tuple(row) for row in mat], pivots
+
+
+def format_oracle(p, names=None):
+    """A polynomial's text by one explicit pass per term: the terms sorted by
+    grlex_key, each monomial's factors collected in a loop, and the signed
+    parts joined one at a time; the oracle that poly.format_polynomial, which
+    sorts and joins in C, is checked against."""
+    if p.is_zero():
+        return "0"
+    if names is None:
+        names = default_names(p.nvars)
+    parts = []
+    for exps in sorted(p.terms, key=grlex_key):
+        factors = []
+        for name, e in zip(names, exps):
+            if e == 1:
+                factors.append(name)
+            elif e > 1:
+                factors.append(f"{name}^{e}")
+        mono = "*".join(factors)
+        cs = p.field.fmt(p.terms[exps])
+        if not mono:
+            parts.append(cs)
+        elif cs == "1":
+            parts.append(mono)
+        elif cs == "-1":
+            parts.append("-" + mono)
+        else:
+            parts.append(cs + "*" + mono)
+    out = parts[0]
+    for part in parts[1:]:
+        if part.startswith("-"):
+            out += " - " + part[1:]
+        else:
+            out += " + " + part
+    return out
 
 
 # 24 integer forms in 5 variables: 14 pairwise non-proportional rows (the

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -493,6 +494,23 @@ class TestOtherCommands:
             assert out == ""
             assert err == f"error: {count} chart equations exceed the budget of 3000000\n"
 
+    def test_equations_d1_blowup_exit_2(self, capsys, monkeypatch):
+        # (1, 50000) has 50,000 terms and one equation, within both bounds,
+        # but 2.5e9 exponent cells: it is refused before any column is built
+        def refuse(*args):
+            raise AssertionError("chart column built past the budget")
+
+        monkeypatch.setattr(fano, "Polynomial", refuse)
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["equations", "--d", "1", "--m", "50000"])
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: chart expansion of 50000 terms in 50000 variables "
+            "(2500000000 exponent cells) exceeds the budget of 3000000\n"
+        )
+
     @pytest.mark.parametrize("d,m", [(0, 3), (3, 3)])
     def test_equations_size_out_of_range_exit_2(self, capsys, d, m):
         code, out, err = run(capsys, ["equations", "--d", str(d), "--m", str(m)])
@@ -796,11 +814,18 @@ def bench_digests():
 
 @pytest.mark.parametrize(
     "command",
-    ["equations --d 2 --m 5", "equations --d 3 --m 6", "xcheck --d 2 --m 4 --prime 3"],
+    [
+        "equations --d 2 --m 5",
+        "equations --d 3 --m 6",
+        "equations --d 4 --m 10",
+        "equations --d 5 --m 10",
+        "xcheck --d 2 --m 4 --prime 3",
+    ],
 )
 def test_stdout_matches_bench_digest(capsys, bench_digests, command):
     # the benchmark rejects a run whose stdout differs from its digest; this
-    # catches a rendering change on the cheap entries without a bench run
+    # catches a rendering change without a bench run, on the full equations
+    # sizes the benchmark renders too (about 0.5 s)
     code, out, _ = run(capsys, command.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == bench_digests[command]

@@ -200,6 +200,18 @@ class TestVerifyCertificate:
         assert not verify_certificate(T, "junk")
 
 
+class Admitted(Exception):
+    """Raised in place of building the first chart column: the size passed
+    every budget check."""
+
+
+def build_no_column(monkeypatch):
+    def admitted(*args):
+        raise Admitted
+
+    monkeypatch.setattr(fano, "Polynomial", admitted)
+
+
 class TestChartEquations:
     def test_d1_m3(self):
         eqs = fano_chart_equations(1, 3)
@@ -297,6 +309,26 @@ class TestChartEquations:
         monkeypatch.setattr(fano, "EXPANSION_BUDGET", 34)
         with pytest.raises(BudgetExceeded, match="35 chart equations exceed the budget of 34"):
             fano_chart_equations(4, 5)
+
+    def test_d1_refused_on_exponent_cells(self, monkeypatch):
+        # d = 1 passes the term and equation bounds at any m; 1732^2 =
+        # 2,999,824 cells is the largest square within the budget
+        build_no_column(monkeypatch)
+        for m in (1733, 50000):
+            with pytest.raises(BudgetExceeded, match=rf"\({m * m} exponent cells\) exceeds"):
+                fano_chart_equations(1, m)
+
+    @pytest.mark.parametrize(
+        "d,m",
+        # the sizes the tests expand, the benchmark's (tiny and full), and
+        # the largest d = 1 size
+        [(1, 2), (1, 3), (1, 200), (1, 1732), (2, 4), (2, 5), (3, 5), (3, 6),
+         (4, 5), (4, 10), (5, 10), (6, 13)],
+    )
+    def test_sizes_in_use_stay_admitted(self, monkeypatch, d, m):
+        build_no_column(monkeypatch)
+        with pytest.raises(Admitted):
+            fano_chart_equations(d, m)
 
     def test_expansion_releases_finished_slots(self):
         # E_k of a prefix is dropped once k falls below the band; kept, the

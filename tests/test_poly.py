@@ -12,11 +12,12 @@ from esymfano.poly import (
     elem_sym,
     esym,
     esym_almost_top,
+    format_polynomial,
     grlex_key,
     substitute_linear_forms,
 )
 
-from conftest import qm
+from conftest import format_oracle, qm
 
 
 def var(field, n, i):
@@ -226,6 +227,60 @@ class TestCoefficientExtraction:
         assert p.sorted_terms() == [((2,), Fraction(3))]
 
 
+class TestFormatting:
+    """format_polynomial sorts and joins in C; format_oracle in conftest is
+    the per-term loop it replaced, and both must give the same text."""
+
+    @staticmethod
+    def random_coeff(field, rng):
+        if field == QQ:
+            return Fraction(rng.choice([-7, -2, -1, 1, 1, 3]), rng.choice([1, 1, 2, 9]))
+        return field.from_int(rng.randint(1, 2 * field.p))
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(101)], ids=["Q", "F2", "F101"])
+    def test_matches_the_oracle(self, field, rng):
+        for _ in range(300):
+            nvars = rng.randint(0, 4)
+            # exponents up to 3 or, half the time, squarefree monomials
+            top = rng.choice([1, 3])
+            terms = {
+                tuple(rng.randint(0, top) for _ in range(nvars)): self.random_coeff(field, rng)
+                for _ in range(rng.randint(0, 6))
+            }
+            p = Polynomial(field, nvars, terms)
+            assert format_polynomial(p) == format_oracle(p)
+            names = [f"u{v}_{rng.randint(1, 9)}" for v in range(nvars)]
+            assert format_polynomial(p, names) == format_oracle(p, names)
+
+    def test_known_texts(self):
+        cases = [
+            ({}, "0"),
+            ({(0, 0): Fraction(-5, 2)}, "-5/2"),
+            ({(0, 0): Fraction(1, 2), (1, 0): Fraction(2), (0, 3): Fraction(-1)},
+             "1/2 + 2*x1 - x2^3"),
+            ({(1, 0): Fraction(-1), (0, 1): Fraction(-3, 2)}, "-3/2*x2 - x1"),
+            ({(2, 1): Fraction(1), (0, 0): Fraction(-1)}, "-1 + x1^2*x2"),
+            ({(1, 1): Fraction(1), (2, 0): Fraction(-1, 3)}, "x1*x2 - 1/3*x1^2"),
+        ]
+        for terms, text in cases:
+            p = Polynomial(QQ, 2, terms)
+            assert format_polynomial(p) == text == format_oracle(p)
+        f7 = PrimeField(7)
+        p = Polynomial(f7, 2, {(1, 0): 6, (0, 2): 1, (0, 0): 3})
+        assert format_polynomial(p, ["a", "b"]) == "3 + 6*a + b^2" == format_oracle(p, ["a", "b"])
+
+    @pytest.mark.parametrize("nvars", range(0, 5))
+    def test_sorted_terms_is_grlex(self, nvars, rng):
+        for _ in range(50):
+            terms = {
+                tuple(rng.randint(0, 4) for _ in range(nvars)): Fraction(rng.randint(1, 9))
+                for _ in range(rng.randint(0, 12))
+            }
+            p = Polynomial(QQ, nvars, terms)
+            expected = [(e, p.terms[e]) for e in sorted(p.terms, key=grlex_key)]
+            assert p.sorted_terms() == expected
+
+
 class TestDegreeMonomials:
     def test_no_variables(self):
         # the empty monomial is the one monomial of degree 0 in no variables
@@ -354,6 +409,34 @@ class TestEsymKernel:
                 forms.append(LinearForm(field, coeffs))
             for r in range(m + 1):
                 assert esym(r, forms) == sum_over_subsets(r, forms)
+
+    def test_common_denominator_and_repeated_values(self, rng):
+        # every coefficient is k/6 with k prime to 6, so D = 6 and the scaled
+        # ints repeat; each distinct value of the result is one Fraction
+        values = [Fraction(k, 6) for k in (-5, -1, 1, 1, 5, 7)]
+        for _ in range(40):
+            m, d = rng.randint(2, 7), rng.randint(1, 3)
+            T = [[rng.choice(values) for _ in range(m)] for _ in range(d)]
+            forms = [LinearForm(QQ, col) for col in zip(*T)]
+            for r in range(m + 1):
+                out = esym(r, forms)
+                assert out == substitute_linear_forms(elem_sym(r, m, QQ), T)
+                coeffs = list(out.terms.values())
+                assert len(set(map(id, coeffs))) == len(set(coeffs))
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(5)], ids=["Q", "F2", "F5"])
+    def test_no_zero_coefficient(self, field, rng):
+        # sign pairs and, over F_p, sums past p cancel terms along the way;
+        # none of them may be left in the result with coefficient zero
+        for _ in range(40):
+            m, d = rng.randint(2, 5), rng.randint(1, 3)
+            T = [[field.from_int(rng.randint(-2, 2)) for _ in range(m)] for _ in range(d)]
+            forms = [LinearForm(field, col) for col in zip(*T)]
+            forms += [form.scale(field.from_int(-1)) for form in forms[: rng.randint(0, 2)]]
+            for r in range(len(forms) + 1):
+                out = esym(r, forms)
+                assert field.zero not in out.terms.values()
+                assert out == sum_over_subsets(r, forms)
 
     def test_mixed_factor_kinds_mismatched_rejected(self):
         form_q = LinearForm(QQ, (Fraction(1), Fraction(2)))
