@@ -16,8 +16,10 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import reduce
-from math import comb, lcm
+from itertools import chain
+from math import comb, gcd, lcm
 from operator import add, getitem, mul
 
 from .fields import QQ, BudgetExceeded, FieldError, PrimeField
@@ -36,24 +38,74 @@ SPAN_BUDGET = 5 * 10**5
 CERTIFICATE_PRIME = 2**31 - 1
 
 
-def _close(reached, gens, new, field, admit):
-    """Extend reached, a set of matrices closed under right multiplication by
-    gens, until it is closed under right multiplication by new as well.
+def _scaled(g, p):
+    """g as (h, s) with g = h / s: over Q, s is the lcm of the entry
+    denominators and h the integer rows s g; over F_p, s = 1 and h is g
+    reduced mod p.  The pair is determined by g, so sets of pairs decide
+    equality."""
+    if p:
+        return tuple(tuple(x % p for x in row) for row in g), 1
+    s = lcm(*(x.denominator for row in g for x in row))
+    return tuple(tuple(x.numerator * (s // x.denominator) for x in row) for row in g), s
 
-    Elements already reached meet only new; each newly reached element
-    meets every generator, so every (element, generator) product is formed
-    once.  admit(prod) vets each new element before it joins, and raises to
-    refuse it.  Started from the identity, reached ends as the monoid the
-    generators generate.  When that is finite and the generators are
-    invertible, it is a group: g^a = g^b with a < b makes g^(b - a - 1) the
-    inverse of g.
+
+def _scaled_product(a, b, p):
+    """The scaled form of the product of the matrices whose scaled forms are
+    a = (h, s) and b = (k, u).  Row i of h k is sum_t h[i][t] * (row t of k),
+    skipping the zero entries of h (no row of h is zero: every matrix
+    multiplied is invertible).  Over Q the pair (h k, s u) is divided by the
+    gcd of s u and its entries; over F_p the rows are reduced mod p."""
+    (h, s), (k, u) = a, b
+    rows = []
+    for row in h:
+        acc = None
+        for x, krow in zip(row, k):
+            if x and acc is None:
+                acc = [x * y for y in krow]
+            elif x:
+                acc = [z + x * y for z, y in zip(acc, krow)]
+        rows.append(tuple([z % p for z in acc]) if p else tuple(acc))
+    if p:
+        return tuple(rows), 1
+    d = s * u
+    if d > 1:
+        g = gcd(d, *chain.from_iterable(rows))
+        if g > 1:
+            d //= g
+            rows = [tuple([z // g for z in row]) for row in rows]
+    return tuple(rows), d
+
+
+def _unscaled(forms, field):
+    """The matrices of the scaled forms, with one Fraction per distinct
+    (entry, denominator) over Q."""
+    if field.characteristic:
+        return tuple(h for h, _ in forms)
+    pairs = {(c, s) for h, s in forms for row in h for c in row}
+    value = {pair: Fraction(*pair) for pair in pairs}
+    return tuple(tuple(tuple(value[c, s] for c in row) for row in h) for h, s in forms)
+
+
+def _close(reached, gens, new, p, admit):
+    """Extend reached, a set of scaled forms (_scaled) of matrices over the
+    field of characteristic p, closed under right multiplication by gens,
+    until it is closed under right multiplication by new as well.
+
+    Every product is one _scaled_product on integer rows, with no field
+    method and no Fraction.  Elements already reached meet only new; each
+    newly reached element meets every generator, so every (element,
+    generator) product is formed once.  admit(prod) vets each new element
+    before it joins, and raises to refuse it.  Started from the identity,
+    reached ends as the monoid the generators generate.  When that is
+    finite and the generators are invertible, it is a group: g^a = g^b with
+    a < b makes g^(b - a - 1) the inverse of g.
     """
     every = tuple(gens) + tuple(new)
     todo = [(x, new) for x in reached]
     while todo:
         x, ts = todo.pop()
         for t in ts:
-            prod = mat_mul(x, t, field)
+            prod = _scaled_product(x, t, p)
             if prod not in reached:
                 admit(prod)
                 reached.add(prod)
@@ -70,17 +122,20 @@ class GroupAction:
 
     def __post_init__(self):
         """Each element not yet reached must be invertible and becomes a
-        generator for _close, every product looked up in the element set, so
-        the elements end as the group the generators generate.  Each new
-        generator at least doubles the reached subgroup: at most log2 |G|
-        rank checks and |G| log2 |G| products."""
+        generator for _close, every product looked up in the set of the
+        elements' scaled forms, so the elements end as the group the
+        generators generate.  Each new generator at least doubles the
+        reached subgroup: at most log2 |G| rank checks and |G| log2 |G|
+        products.  Over F_p an entry counts as its residue mod p."""
         elems = tuple(tuple(tuple(row) for row in g) for g in self.elements)
         object.__setattr__(self, "elements", elems)
         n, field = self.dimension, self.field
-        members = set(elems)
+        p = field.characteristic
+        forms = [_scaled(g, p) for g in elems]
+        members = set(forms)
         if len(members) != len(elems):
             raise ValueError("duplicate group elements")
-        ident = identity(n, field)
+        ident = _scaled(identity(n, field), p)
         if ident not in members:
             raise ValueError("identity matrix missing")
         if any(len(g) != n or any(len(row) != n for row in g) for g in elems):
@@ -92,13 +147,13 @@ class GroupAction:
 
         gens = []
         reached = {ident}
-        for g in elems:
-            if g in reached:
+        for form in forms:
+            if form in reached:
                 continue
-            if not is_invertible(g, field):
+            if not is_invertible(form[0], field):
                 raise ValueError("non-invertible element")
-            _close(reached, gens, (g,), field, admit)
-            gens.append(g)
+            _close(reached, gens, (form,), p, admit)
+            gens.append(form)
 
     @property
     def order(self):
@@ -113,40 +168,47 @@ class GroupAction:
 
 
 def close_group(generators, field=QQ) -> GroupAction:
-    """The group generated by the matrices, as an explicit element list.
-    _close proves it a group, so GroupAction's check is skipped.  Over Q an
-    element whose trace rules out finite order is refused at once."""
-    gens = [tuple(tuple(row) for row in g) for g in generators]
+    """The group generated by the matrices, as an explicit element list:
+    the identity, then the others sorted by their scaled forms (_scaled).
+    With no denominator, as in every signed permutation group, that sorts
+    the matrices themselves; a group with denominators comes out in the
+    order of its scaled forms.  _close proves it a group, so GroupAction's
+    check is skipped.  Over Q an element whose trace rules out finite order
+    is refused at once; over F_p each entry counts as its residue mod p."""
+    p = field.characteristic
+    gens = [_scaled(g, p) for g in generators]
     if not gens:
         raise ValueError("no generators")
-    n = len(gens[0])
-    if any(len(g) != n for g in gens):
+    n = len(gens[0][0])
+    if any(len(h) != n for h, _ in gens):
         raise ValueError("generators of different sizes")
-    for g in gens:
-        if not is_invertible(g, field):
+    for h, _ in gens:
+        if not is_invertible(h, field):
             raise ValueError("non-invertible generator")
-    ident = identity(n, field)
+    ident = _scaled(identity(n, field), p)
     seen = {ident}
 
     def admit(prod):
         # each trace in a finite group is a sum of n roots of unity, so over Q
-        # an integer in [-n, n]
-        trace = 0 if field.characteristic else sum(map(getitem, prod, range(n)))
-        if trace.denominator != 1 or abs(trace.numerator) > n:
-            raise ValueError(
-                "the generators generate no finite group: an element has a trace "
-                f"that is not an integer in [-{n}, {n}]"
-            )
+        # an integer in [-n, n]; the trace of h / s is tr(h) / s
+        if not p:
+            h, s = prod
+            trace = sum(map(getitem, h, range(n)))
+            if trace % s or abs(trace) > n * s:
+                raise ValueError(
+                    "the generators generate no finite group: an element has a "
+                    f"trace that is not an integer in [-{n}, {n}]"
+                )
         if len(seen) >= CLOSURE_BUDGET:
             raise BudgetExceeded(f"group closure exceeds {CLOSURE_BUDGET} elements")
 
-    _close(seen, (), gens, field, admit)
+    _close(seen, (), gens, p, admit)
     seen.remove(ident)
     group = object.__new__(GroupAction)
     object.__setattr__(group, "field", field)
     object.__setattr__(group, "dimension", n)
     # the identity first for readability
-    object.__setattr__(group, "elements", (ident, *sorted(seen)))
+    object.__setattr__(group, "elements", _unscaled((ident, *sorted(seen)), field))
     return group
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from esymfano.fields import QQ, PrimeField
-from esymfano.linalg import nullspace
+from esymfano.linalg import identity, mat_mul, nullspace
 from esymfano.poly import LinearForm, coefficient_rows, default_names, esym, grlex_key
 
 
@@ -33,6 +33,27 @@ def reciprocal_oracle(forms):
     zero = LinearForm(field, [field.zero] * forms[0].nvars)
     products = [esym(m - 1, forms[:j] + [zero] + forms[j + 1 :]) for j in range(m)]
     return nullspace(list(zip(*coefficient_rows(products))), field)
+
+
+def closure_oracle(generators, field):
+    """The set of elements of the group the matrices generate, breadth first
+    from the identity through linalg.mat_mul on the field's own elements:
+    the route that invariants.close_group, which multiplies integer forms,
+    is checked against."""
+    gens = [tuple(tuple(row) for row in g) for g in generators]
+    ident = identity(len(gens[0]), field)
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        reached = []
+        for x in frontier:
+            for g in gens:
+                prod = mat_mul(x, g, field)
+                if prod not in seen:
+                    seen.add(prod)
+                    reached.append(prod)
+        frontier = reached
+    return seen
 
 
 def rref_oracle(rows, field):

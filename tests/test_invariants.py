@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
-from math import comb
+from math import comb, lcm
 
 import pytest
 
@@ -26,7 +26,7 @@ from esymfano.invariants import (
 from esymfano.linalg import identity, mat_mul
 from esymfano.poly import LinearForm, Polynomial, degree_monomials, elem_sym, poly_eval
 
-from conftest import qm
+from conftest import closure_oracle, qm
 
 
 def sign_group():
@@ -62,6 +62,22 @@ S4_GENERATORS = [
     [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
     [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]],
 ]
+B3_GENERATORS = [
+    [[0, 1, 0], [1, 0, 0], [0, 0, 1]],
+    [[0, 0, 1], [1, 0, 0], [0, 1, 0]],
+    [[-1, 0, 0], [0, 1, 0], [0, 0, 1]],
+]
+INTEGER_GENERATORS = {**GENERATORS, "s4": S4_GENERATORS, "b3": B3_GENERATORS}
+# generators with denominators, as strings for qm: the dihedral group of
+# order 6 with entries in (1/2)Z, and S_3 conjugated by diag(2, 3, 1), whose
+# elements carry denominators 1, 2, 3 and 6
+FRACTIONAL_GENERATORS = {
+    "dihedral6": [[["-1/2", "-3/2"], ["1/2", "-1/2"]], [["1/2", "3/2"], ["1/2", "-1/2"]]],
+    "s3-conjugated": [
+        [[0, "2/3", 0], ["3/2", 0, 0], [0, 0, 1]],
+        [[1, 0, 0], [0, 0, 3], [0, "1/3", 0]],
+    ],
+}
 
 
 def group_over_generators(gens, field):
@@ -70,6 +86,16 @@ def group_over_generators(gens, field):
 
 def group_over(name, field):
     return group_over_generators(GENERATORS[name], field)
+
+
+def over_field(gens, field):
+    """Generators of ints and rational strings as matrices over field; over
+    F_p a rational a/b becomes a times the inverse of b."""
+    p = field.characteristic
+    mats = [qm(g) for g in gens]
+    if not p:
+        return mats
+    return [[[x.numerator * pow(x.denominator, -1, p) % p for x in row] for row in g] for g in mats]
 
 
 def lf(*coeffs):
@@ -160,24 +186,125 @@ class TestCloseGroup:
         with pytest.raises(ValueError, match="^non-invertible element$"):
             GroupAction(QQ, 2, (qm([[1, 0], [0, 1]]), qm(singular)))
 
-    @pytest.mark.parametrize("field", [QQ, F7], ids=["Q", "F7"])
-    @pytest.mark.parametrize("name", sorted(GENERATORS))
+    @pytest.mark.parametrize("field", [QQ, F7, F101], ids=["Q", "F7", "F101"])
+    @pytest.mark.parametrize("name", sorted(INTEGER_GENERATORS))
     def test_closure_passes_validation(self, name, field):
-        """close_group skips GroupAction's check; the check accepts its list."""
-        g = group_over(name, field)
+        """close_group skips GroupAction's check; the check accepts its list.
+        With every denominator 1 the elements come out as the identity, then
+        the others sorted as matrices over the field."""
+        gens = INTEGER_GENERATORS[name]
+        g = group_over_generators(gens, field)
         assert GroupAction(field, g.dimension, g.elements) == g
-        assert g.elements[0] == identity(g.dimension, field)
+        ident = identity(g.dimension, field)
+        mats = [[[field.from_int(x) for x in row] for row in m] for m in gens]
+        assert g.elements == (ident, *sorted(closure_oracle(mats, field) - {ident}))
 
     def test_generators_of_different_sizes_rejected(self, monkeypatch):
-        def refuse(a, b, field):
+        def refuse(a, b, p):
             raise AssertionError("product formed before the sizes were checked")
 
-        monkeypatch.setattr(invariants, "mat_mul", refuse)
+        monkeypatch.setattr(invariants, "_scaled_product", refuse)
         swap2 = qm([[0, 1], [1, 0]])
         swap3 = qm([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
         for gens in ([swap2, swap3], [swap3, swap2]):
             with pytest.raises(ValueError, match="^generators of different sizes$"):
                 close_group(gens, QQ)
+
+
+class TestIntegerClosure:
+    """close_group multiplies integer forms (h, s), g = h / s; the closure
+    through linalg.mat_mul on field elements is its oracle."""
+
+    CASES = [
+        pytest.param(gens, field, id=f"{name}-{field}")
+        for name, gens in [
+            ("s4", S4_GENERATORS),
+            ("b3", B3_GENERATORS),
+            *FRACTIONAL_GENERATORS.items(),
+        ]
+        for field in (QQ, F7, F101)
+    ]
+
+    @pytest.mark.parametrize("gens,field", CASES)
+    def test_matches_the_oracle(self, gens, field):
+        mats = over_field(gens, field)
+        g = close_group(mats, field)
+        assert set(g.elements) == closure_oracle(mats, field)
+        assert g.order == len(g.elements)
+        scalar = int if field.characteristic else Fraction
+        assert all(type(x) is scalar for e in g.elements for row in e for x in row)
+
+    def test_orders(self):
+        orders = {
+            name: close_group(over_field(gens, QQ), QQ).order
+            for name, gens in FRACTIONAL_GENERATORS.items()
+        }
+        assert orders == {"dihedral6": 6, "s3-conjugated": 6}
+        g = close_group(over_field(FRACTIONAL_GENERATORS["s3-conjugated"], QQ), QQ)
+        scales = [lcm(*(x.denominator for row in e for x in row)) for e in g.elements]
+        assert sorted(scales) == [1, 2, 3, 6, 6, 6]
+
+    @pytest.mark.parametrize("name", sorted(FRACTIONAL_GENERATORS))
+    def test_groups_with_denominators_pass_validation(self, name):
+        g = close_group(over_field(FRACTIONAL_GENERATORS[name], QQ), QQ)
+        assert g.elements[0] == identity(g.dimension, QQ)
+        assert GroupAction(QQ, g.dimension, g.elements) == g
+        assert GroupAction(QQ, g.dimension, g.elements[::-1]).order == g.order
+
+    def test_scaled_trace_refused(self):
+        """diag(1/2, 2) has trace 5/2: h = diag(1, 4), s = 2, and 5 % 2 != 0."""
+        with pytest.raises(
+            ValueError,
+            match=r"^the generators generate no finite group: an element has a trace "
+            r"that is not an integer in \[-2, 2\]$",
+        ):
+            close_group([qm([["1/2", 0], [0, 2]])], QQ)
+
+    def test_scaled_swap_closes(self):
+        """[[0, 2], [1/2, 0]] has trace 0 and squares to the identity."""
+        g = close_group([qm([[0, 2], ["1/2", 0]])], QQ)
+        assert g.order == 2
+        assert g.elements == (identity(2, QQ), qm([[0, 2], ["1/2", 0]]))
+
+    def test_shear_stops_at_the_budget(self, monkeypatch):
+        """[[1, 1], [0, 1]] keeps trace 2 in every power; the budget stops it
+        at the same product and with the same message as before."""
+        calls = []
+        product = invariants._scaled_product
+
+        def counted(a, b, p):
+            calls.append(1)
+            return product(a, b, p)
+
+        monkeypatch.setattr(invariants, "_scaled_product", counted)
+        with pytest.raises(
+            BudgetExceeded, match=f"^group closure exceeds {invariants.CLOSURE_BUDGET} elements$"
+        ):
+            close_group([qm([[1, 1], [0, 1]])], QQ)
+        # powers 1 .. CLOSURE_BUDGET; the last is refused
+        assert len(calls) == invariants.CLOSURE_BUDGET
+
+    def test_entries_over_fp_are_residues(self):
+        """diag(7, 1) is singular over F_7, although its integer rank is 2;
+        -1 and 6 are one residue."""
+        with pytest.raises(ValueError, match="^non-invertible generator$"):
+            close_group([[[7, 0], [0, 1]]], F7)
+        with pytest.raises(ValueError, match="^non-invertible element$"):
+            GroupAction(F7, 2, (identity(2, F7), ((7, 0), (0, 1))))
+        assert close_group([[[0, -1], [1, 0]]], F7) == close_group([[[0, 6], [1, 0]]], F7)
+        with pytest.raises(ValueError, match="^duplicate group elements$"):
+            GroupAction(F7, 2, (identity(2, F7), ((-1, 0), (0, -1)), ((6, 0), (0, 6))))
+        assert GroupAction(F7, 2, (identity(2, F7), ((-1, 0), (0, -1)))).order == 2
+
+    def test_hand_written_list_with_denominators(self):
+        swap = qm([[0, 2], ["1/2", 0]])
+        neg = qm([[-1, 0], [0, -1]])
+        with pytest.raises(ValueError, match="^element set not closed under multiplication$"):
+            GroupAction(QQ, 2, (identity(2, QQ), swap, neg))
+        closed = (identity(2, QQ), swap, neg, qm([[0, -2], ["-1/2", 0]]))
+        assert GroupAction(QQ, 2, closed).order == 4
+        with pytest.raises(ValueError, match="^element set not closed under multiplication$"):
+            GroupAction(QQ, 2, (identity(2, QQ), qm([["1/2", 0], [0, 2]])))
 
 
 class TestOrbits:
