@@ -14,7 +14,6 @@ from .poly import (
     elem_sym,
     esym,
     poly_eval,
-    substitute_linear_forms,
 )
 from .fano import (
     MembershipVerdict,

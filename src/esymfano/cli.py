@@ -353,41 +353,41 @@ def _parser_tree():
         "and symmetric-pullback polynomial invariants.",
     )
     parser.add_argument("--json", action="store_true", help="emit the report as JSON")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+    subparsers = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("classify", help="decide membership of a plane, with certificate")
+    p = subparsers.add_parser("classify", help="decide membership of a plane, with certificate")
     p.add_argument("matrix", nargs="?", help="matrix document path (default stdin)")
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("equations", help="chart defining equations of the Fano scheme")
+    p = subparsers.add_parser("equations", help="chart defining equations of the Fano scheme")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.set_defaults(func=cmd_equations)
 
-    p = sub.add_parser("isolated", help="enumerate the isolated points for m = 2d")
+    p = subparsers.add_parser("isolated", help="enumerate the isolated points for m = 2d")
     p.add_argument("--d", type=int, required=True)
     p.set_defaults(func=cmd_isolated)
 
-    p = sub.add_parser("brute", help="exhaustive member enumeration over F_p")
+    p = subparsers.add_parser("brute", help="exhaustive member enumeration over F_p")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--prime", type=int, required=True)
     p.add_argument("--budget", type=int, default=fano.ENUMERATION_BUDGET)
     p.set_defaults(func=cmd_brute)
 
-    p = sub.add_parser("xcheck", help="exhaustively compare classify vs direct expansion")
+    p = subparsers.add_parser("xcheck", help="exhaustively compare classify vs direct expansion")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--prime", type=int, required=True)
     p.add_argument("--budget", type=int, default=fano.ENUMERATION_BUDGET)
     p.set_defaults(func=cmd_xcheck)
 
-    p = sub.add_parser("invariants", help="generation check or the built-in z2-example")
+    p = subparsers.add_parser("invariants", help="generation check or the built-in z2-example")
     p.add_argument("scenario", help="scenario JSON path, or 'z2-example'")
     p.add_argument("--degree", type=int, help="override the scenario degree bound")
     p.set_defaults(func=cmd_invariants)
 
-    p = sub.add_parser("reciprocals", help="relation space of reciprocals of linear forms")
+    p = subparsers.add_parser("reciprocals", help="relation space of reciprocals of linear forms")
     p.add_argument("matrix", nargs="?", help="form document path (default stdin)")
     p.set_defaults(func=cmd_reciprocals)
 

@@ -17,16 +17,16 @@ def _echelon(rows, field, reduced):
     mat holding a nonzero entry in column pivots[k] and the zero rows last.
 
     Over Q each row is scaled to integers by the lcm of its denominators;
-    over F_p the residues are used as they are.  Scaling a row keeps the row
-    space.  Each step sets row_i <- piv * row_i - f * row_r, piv the pivot
-    and f the entry of row_i in its column, then reduces row_i modulo p, or
-    over Z divides it by the gcd of its entries, which keeps the entries
-    small.  The forward pass clears each pivot column below the pivot; with
+    over F_p each entry is read as its residue mod p.  Scaling a row keeps
+    the row space.  Each step sets row_i <- piv * row_i - f * row_r, piv the
+    pivot and f the entry of row_i in its column, then reduces row_i modulo
+    p, or over Z divides it by the gcd of its entries, which keeps the
+    entries small.  The forward pass clears each pivot column below the pivot; with
     reduced it clears it above too.  No field method is called per cell.
     """
     p = field.characteristic
     if p:
-        mat = [list(r) for r in rows]
+        mat = [[x % p for x in r] for r in rows]
     else:
         mat = []
         for r in rows:

@@ -130,21 +130,7 @@ class Polynomial:
         return self + (-other)
 
     def __mul__(self, other):
-        self._check_compatible(other)
-        f = self.field
-        zero = f.zero
-        acc = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = f.add(acc.get(e, zero), f.mul(c1, c2))
-                if s == zero:
-                    acc.pop(e, None)
-                else:
-                    acc[e] = s
-        out = Polynomial(f, self.nvars)
-        out.terms = acc
-        return out
+        return esym(2, (self, other))
 
     def scale(self, scalar):
         f = self.field
@@ -212,6 +198,8 @@ def esym(r: int, polys) -> Polynomial:
     denominators, and divides by D^r, as E_r(D g) = D^r E_r(g): the zero
     coefficients are dropped once, at the unpack, and each distinct nonzero
     int becomes one Fraction c / D^r, shared by every term that has it.
+    Every product in the package is E_r of its r factors: a * b is
+    esym(2, (a, b)) and each poly_eval term is one such product.
     """
     polys = list(polys)
     m = len(polys)
@@ -276,7 +264,11 @@ def elem_sym(r: int, m: int, field) -> Polynomial:
 
 
 def poly_eval(f: Polynomial, args) -> Polynomial:
-    """Evaluate f by substituting a polynomial for each of its variables."""
+    """Evaluate f by substituting a polynomial for each of its variables.
+
+    The term c x^e becomes E_{r+1} of the constant c and r = |e| factors,
+    args[j] repeated e_j times: the product of all r + 1.
+    """
     args = list(args)
     if len(args) != f.nvars:
         raise ValueError(f"expected {f.nvars} substitution polynomials, got {len(args)}")
@@ -288,35 +280,12 @@ def poly_eval(f: Polynomial, args) -> Polynomial:
     for g in args:
         if g.field != field or g.nvars != nvars:
             raise FieldError("substitution polynomials over mismatched rings")
-    powers = [{0: Polynomial.one(field, nvars)} for _ in args]
-
-    def power(j, k):
-        cache = powers[j]
-        if k not in cache:
-            cache[k] = power(j, k - 1) * args[j]
-        return cache[k]
-
     total = Polynomial.zero(field, nvars)
     for exps, coeff in f.sorted_terms():
-        term = Polynomial.constant(field, nvars, coeff)
-        for j, k in enumerate(exps):
-            if k:
-                term = term * power(j, k)
-        total = total + term
+        factors = [g for g, k in zip(args, exps) for _ in range(k)]
+        const = Polynomial.constant(field, nvars, coeff)
+        total = total + esym(len(factors) + 1, [const, *factors])
     return total
-
-
-def substitute_linear_forms(f: Polynomial, matrix) -> Polynomial:
-    """Evaluate f at the linear forms L_j(s) = sum_i matrix[i][j] s_i.
-
-    matrix is d x m with m = f.nvars; the result lives in d variables.
-    """
-    if not matrix:
-        raise ValueError("matrix must have at least one row")
-    m = len(matrix[0])
-    if m != f.nvars:
-        raise ValueError(f"matrix has {m} columns, polynomial has {f.nvars} variables")
-    return poly_eval(f, [LinearForm(f.field, col) for col in zip(*matrix)])
 
 
 def coefficient_rows(polys):

@@ -5,7 +5,14 @@ import pytest
 
 from esymfano.fields import QQ, PrimeField
 from esymfano.linalg import identity, mat_mul, nullspace
-from esymfano.poly import LinearForm, coefficient_rows, default_names, esym, grlex_key
+from esymfano.poly import (
+    LinearForm,
+    Polynomial,
+    coefficient_rows,
+    default_names,
+    esym,
+    grlex_key,
+)
 
 
 @pytest.fixture
@@ -35,6 +42,52 @@ def reciprocal_oracle(forms):
     return nullspace(list(zip(*coefficient_rows(products))), field)
 
 
+def mul_oracle(a, b):
+    """a * b by one field.add and one field.mul per pair of terms, on
+    exponent tuples: the route that Polynomial.__mul__, which is esym(2, ...)
+    on packed ints, is checked against."""
+    f = a.field
+    acc = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            s = f.add(acc.get(e, f.zero), f.mul(c1, c2))
+            if s == f.zero:
+                acc.pop(e, None)
+            else:
+                acc[e] = s
+    return Polynomial(f, a.nvars, acc)
+
+
+def eval_oracle(f, args):
+    """f with args[j] substituted for variable j, term by term through
+    mul_oracle, each power args[j]**k formed once and cached: the route
+    that poly.poly_eval, one esym per term, is checked against."""
+    field, nvars = args[0].field, args[0].nvars
+    powers = [[Polynomial.one(field, nvars)] for _ in args]
+
+    def power(j, k):
+        while len(powers[j]) <= k:
+            powers[j].append(mul_oracle(powers[j][-1], args[j]))
+        return powers[j][k]
+
+    total = Polynomial.zero(field, nvars)
+    for exps, coeff in f.terms.items():
+        term = Polynomial.constant(field, nvars, coeff)
+        for j, k in enumerate(exps):
+            if k:
+                term = mul_oracle(term, power(j, k))
+        total = total + term
+    return total
+
+
+def substitution_oracle(f, matrix):
+    """f at the column forms L_j(s) = sum_i matrix[i][j] s_i of a d x m
+    matrix, m = f.nvars, through eval_oracle: the result lives in d
+    variables.  It runs no esym, so it checks esym at a plane's columns."""
+    return eval_oracle(f, [LinearForm(f.field, col) for col in zip(*matrix)])
+
+
 def closure_oracle(generators, field):
     """The set of elements of the group the matrices generate, breadth first
     from the identity through linalg.mat_mul on the field's own elements:
@@ -58,9 +111,9 @@ def closure_oracle(generators, field):
 
 def rref_oracle(rows, field):
     """Gauss-Jordan elimination through the field's own operations, one
-    field.inv per pivot and a field.mul and field.sub per cell: the oracle
-    that linalg.rref and linalg.rank, which eliminate on integer rows, are
-    checked against.  Returns (rows as tuples, pivot columns)."""
+    field.inv per pivot and a field.mul, field.neg and field.add per cell:
+    the oracle that linalg.rref and linalg.rank, which eliminate on integer
+    rows, are checked against.  Returns (rows as tuples, pivot columns)."""
     mat = [list(r) for r in rows]
     if not mat:
         return [], []
@@ -83,7 +136,8 @@ def rref_oracle(rows, field):
             if i != r and mat[i][c] != zero:
                 factor = mat[i][c]
                 mat[i] = [
-                    field.sub(x, field.mul(factor, y)) for x, y in zip(mat[i], mat[r])
+                    field.add(x, field.neg(field.mul(factor, y)))
+                    for x, y in zip(mat[i], mat[r])
                 ]
         pivots.append(c)
         r += 1

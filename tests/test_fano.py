@@ -36,6 +36,7 @@ from esymfano.poly import LinearForm, Polynomial, elem_sym, poly_eval
 from conftest import (
     DISTINCT_ROWS,
     REPEATED_ROWS,
+    eval_oracle,
     qm,
     reciprocal_oracle,
     reciprocal_relation_holds,
@@ -65,6 +66,11 @@ class TestPlaneMatrix:
     def test_rank_enforced_on_plain_ints(self):
         with pytest.raises(ValueError):
             PlaneMatrix(QQ, ((3, 5, 1), (9, 15, 3)))
+
+    def test_rank_enforced_on_residues(self):
+        # 7 is 0 in F_7, so the rows are dependent
+        with pytest.raises(ValueError, match="rank deficient"):
+            PlaneMatrix(PrimeField(7), ((7, 0, 0), (0, 1, 0)))
 
 
 class TestDirectMembership:
@@ -274,7 +280,7 @@ class TestChartEquations:
             for i in range(d):
                 col = col + x(i * (m - d) + k) * x(na + i)
             columns.append(col)
-        expected = poly_eval(elem_sym(m - 1, m, QQ), columns)
+        expected = eval_oracle(elem_sym(m - 1, m, QQ), columns)
         terms = {}
         for s_mono, eq in fano_chart_equations(d, m):
             for a_exps, c in eq.terms.items():

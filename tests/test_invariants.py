@@ -24,9 +24,9 @@ from esymfano.invariants import (
     z2_counterexample_report,
 )
 from esymfano.linalg import identity, mat_mul
-from esymfano.poly import LinearForm, Polynomial, degree_monomials, elem_sym, poly_eval
+from esymfano.poly import LinearForm, Polynomial, degree_monomials, elem_sym
 
-from conftest import closure_oracle, qm
+from conftest import closure_oracle, eval_oracle, qm
 
 
 def sign_group():
@@ -651,13 +651,14 @@ def molien_series(group, K):
 
 
 def pullback(p, forms):
-    """p(f_1, ..., f_m), substituted term by term: the oracle for esym."""
-    return poly_eval(p, forms)
+    """p(f_1, ..., f_m), substituted term by term through the tuple-loop
+    product: the oracle for esym."""
+    return eval_oracle(p, forms)
 
 
 class TestPullback:
     """E_r at the orbit forms (orbit_chern, run by esym) against the
-    elementary symmetric polynomial substituted through poly_eval."""
+    elementary symmetric polynomial substituted through eval_oracle."""
 
     def test_matches_orbit_chern(self):
         orb = [lf(1, 0), lf(-1, 0)]

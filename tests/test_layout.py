@@ -167,11 +167,9 @@ def test_linear_form_is_only_a_polynomial_constructor():
 # Public names with no caller in src/ or bench/, each kept for the tests
 TEST_ONLY = {
     # slow oracles that the fast paths are checked against; poly_eval is not
-    # listed, as invariants and substitute_linear_forms call it.  nullspace is
-    # the kernel of the expansion route that the reciprocal relation space is
-    # compared with
+    # listed, as invariants calls it.  nullspace is the kernel of the
+    # expansion route that the reciprocal relation space is compared with
     "elem_sym",
-    "substitute_linear_forms",
     "nullspace",
     # dimension counts whose values the tests check
     "expected_dimension",

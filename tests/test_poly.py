@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from esymfano.fields import QQ, FieldError, PrimeField
+from esymfano.fields import QQ, FieldError, PrimeField, RationalField
 from esymfano.poly import (
     LinearForm,
     Polynomial,
@@ -14,10 +14,10 @@ from esymfano.poly import (
     esym_almost_top,
     format_polynomial,
     grlex_key,
-    substitute_linear_forms,
+    poly_eval,
 )
 
-from conftest import format_oracle, qm
+from conftest import format_oracle, mul_oracle, qm, substitution_oracle
 
 
 def var(field, n, i):
@@ -88,6 +88,68 @@ class TestPolyMul:
                 assert a + b == b + a
 
 
+MUL_FIELDS = [QQ, PrimeField(7), PrimeField(2**31 - 1)]
+
+
+def mixed_poly(field, nvars, rng, maxdeg=3, nterms=4):
+    """Random terms; over Q with denominators 1 to 10 mixed."""
+    terms = {}
+    for _ in range(nterms):
+        e = tuple(rng.randint(0, maxdeg) for _ in range(nvars))
+        n = rng.randint(-9, 9)
+        terms[e] = Fraction(n, rng.randint(1, 10)) if field == QQ else field.from_int(n)
+    return Polynomial(field, nvars, terms)
+
+
+class TestMulAgainstOracle:
+    """a * b is esym(2, (a, b)) on packed ints; mul_oracle is the tuple loop
+    with one field.add and one field.mul per pair of terms."""
+
+    @pytest.mark.parametrize("field", MUL_FIELDS, ids=repr)
+    def test_random_pairs(self, field, rng):
+        for _ in range(60):
+            nvars = rng.randint(0, 3)
+            a = mixed_poly(field, nvars, rng, nterms=rng.randint(0, 5))
+            b = mixed_poly(field, nvars, rng, nterms=rng.randint(0, 5))
+            assert a * b == mul_oracle(a, b)
+
+    @pytest.mark.parametrize("field", MUL_FIELDS, ids=repr)
+    def test_zero_and_constants(self, field, rng):
+        for nvars in (0, 1, 3):
+            zero = Polynomial.zero(field, nvars)
+            c = Polynomial.constant(field, nvars, field.from_int(-3))
+            a = mixed_poly(field, nvars, rng)
+            for x, y in [(zero, a), (a, zero), (zero, zero), (c, a), (a, c), (c, c)]:
+                assert x * y == mul_oracle(x, y)
+            assert (zero * a).is_zero()
+
+    @pytest.mark.parametrize("field", MUL_FIELDS, ids=repr)
+    @pytest.mark.parametrize("top", [255, 256])
+    def test_byte_slot_boundary(self, field, top):
+        # degree sum 255 fills a one-byte slot; 256 needs two bytes per slot
+        half = Fraction(1, 2) if field == QQ else field.inv(2)
+        a = Polynomial(field, 2, {(top - 100, 0): half, (3, 7): field.from_int(5)})
+        b = Polynomial(field, 2, {(100, 0): field.from_int(-4), (0, 1): field.one})
+        assert a * b == mul_oracle(a, b)
+        assert (a * b).coefficient((top, 0)) == field.mul(half, field.from_int(-4))
+
+    def test_calls_no_field_method(self, monkeypatch, rng):
+        pairs = [
+            (mixed_poly(field, nvars, rng), mixed_poly(field, nvars, rng))
+            for field in MUL_FIELDS
+            for nvars in (0, 2)
+        ]
+        expected = [mul_oracle(a, b) for a, b in pairs]
+
+        def refuse(*args):
+            raise AssertionError("field method called")
+
+        for cls in (RationalField, PrimeField):
+            for name in ("add", "mul", "neg", "inv"):
+                monkeypatch.setattr(cls, name, refuse)
+        assert [a * b for a, b in pairs] == expected
+
+
 class TestElemSym:
     def test_small_cases(self):
         x1, x2 = var(QQ, 2, 0), var(QQ, 2, 1)
@@ -129,33 +191,38 @@ class TestElemSym:
             assert total == prod
 
 
+def at_columns(f, T):
+    """f evaluated by poly_eval at the column forms of the matrix T."""
+    return poly_eval(f, [LinearForm(f.field, col) for col in zip(*T)])
+
+
 class TestSubstitution:
     def test_all_forms_equal(self):
         T = qm([[1, 1, 1]])
-        out = substitute_linear_forms(elem_sym(2, 3, QQ), T)
+        out = at_columns(elem_sym(2, 3, QQ), T)
         assert out == Polynomial(QQ, 1, {(2,): Fraction(3)})
 
     def test_matching_plane_kills_e3(self):
         T = qm([[1, 0, -1, 0], [0, 1, 0, -1]])
-        assert substitute_linear_forms(elem_sym(3, 4, QQ), T).is_zero()
+        assert at_columns(elem_sym(3, 4, QQ), T).is_zero()
 
     def test_repeated_columns_expansion(self):
         # E_3(s1, s2, s1, s2) = 2 s1^2 s2 + 2 s1 s2^2, expanded by hand:
         # the four triples are {s1,s2,s1}, {s1,s2,s2}, {s1,s1,s2}, {s2,s1,s2}
         T = qm([[1, 0, 1, 0], [0, 1, 0, 1]])
-        out = substitute_linear_forms(elem_sym(3, 4, QQ), T)
+        out = at_columns(elem_sym(3, 4, QQ), T)
         assert out == Polynomial(QQ, 2, {(2, 1): Fraction(2), (1, 2): Fraction(2)})
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            substitute_linear_forms(elem_sym(2, 3, QQ), qm([[1, 1]]))
+            at_columns(elem_sym(2, 3, QQ), qm([[1, 1]]))
 
     def test_homogeneity_preserved(self, rng):
         for _ in range(20):
             m, d = rng.randint(2, 5), rng.randint(1, 3)
             r = rng.randint(1, m)
             T = qm([[rng.randint(-3, 3) for _ in range(m)] for _ in range(d)])
-            out = substitute_linear_forms(elem_sym(r, m, QQ), T)
+            out = at_columns(elem_sym(r, m, QQ), T)
             assert out.is_homogeneous()
             assert out.is_zero() or out.degree() == r
 
@@ -207,7 +274,7 @@ class TestTopAtForms:
                 for j in range(m)
             ]
             lhs = at_forms(forms)
-            rhs = substitute_linear_forms(elem_sym(m - 1, m, field), T)
+            rhs = substitution_oracle(elem_sym(m - 1, m, field), T)
             assert lhs == rhs
 
 
@@ -310,7 +377,7 @@ class TestEsym:
                 for subset in itertools.combinations(polys, r):
                     prod = Polynomial.one(field, d)
                     for g in subset:
-                        prod = prod * g
+                        prod = mul_oracle(prod, g)
                     brute = brute + prod
                 assert esym(r, polys) == brute
 
@@ -330,7 +397,7 @@ def sum_over_subsets(r, polys):
     for subset in itertools.combinations(polys, r):
         prod = Polynomial.one(field, nvars)
         for g in subset:
-            prod = prod * g
+            prod = mul_oracle(prod, g)
         total = total + prod
     return total
 
@@ -420,7 +487,7 @@ class TestEsymKernel:
             forms = [LinearForm(QQ, col) for col in zip(*T)]
             for r in range(m + 1):
                 out = esym(r, forms)
-                assert out == substitute_linear_forms(elem_sym(r, m, QQ), T)
+                assert out == substitution_oracle(elem_sym(r, m, QQ), T)
                 coeffs = list(out.terms.values())
                 assert len(set(map(id, coeffs))) == len(set(coeffs))
 
@@ -463,7 +530,7 @@ class TestEsymKernel:
             others = Polynomial.one(field, nvars)
             for k, g in enumerate(polys):
                 if k != j:
-                    others = others * g
+                    others = mul_oracle(others, g)
             assert esym(m - 1, polys) == others
             for r in range(m + 1):
                 assert esym(r, polys) == sum_over_subsets(r, polys)
